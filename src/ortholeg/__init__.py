@@ -4,86 +4,21 @@ floating-point verification, the explicit spectral factorization behind it,
 and the optimal-stability sampling application it enables.
 """
 
-from .certificates import Certificate
-from .christoffel import ChristoffelEvaluator, kn_eval, kn_exact, q_basis_all, q_basis_eval
-from .factorization import (
-    FactorPair,
-    RootReport,
-    fn_closed_coeffs,
-    fn_from_definition,
-    fn_hypergeometric,
-    fn_roots,
-    gn_build,
-)
+from .factorization import fn_roots
 from .ledger import identity_ledger
-from .legendre import (
-    LegendreExpansion,
-    legendre_eval,
-    legendre_exact,
-    legendre_normalized_eval,
-    legendre_on_circle,
-    legendre_product_expand,
-)
-from .partial_fractions import (
-    AbcdFamily,
-    build_abcd,
-    moment_exact,
-    moments_table,
-    orthogonality_exact,
-)
-from .quadrature_verify import OrthoReport, contour_moment_numeric, interval_form_numeric, orthogonality_numeric
-from .ratpoly import JOUKOWSKI, LaurentPoly, Rational, substitute
-from .sampling_ls import (
-    FitReport,
-    SampleBatch,
-    design_matrix,
-    empirical_gram,
-    fit_least_squares,
-    predict,
-    sample_arcsine,
-)
+from .partial_fractions import moments_table, orthogonality_exact
+from .quadrature_verify import orthogonality_numeric
+from .sampling_ls import fit_least_squares, predict, sample_arcsine
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "Certificate",
-    "ChristoffelEvaluator",
-    "FactorPair",
-    "FitReport",
-    "JOUKOWSKI",
-    "LaurentPoly",
-    "LegendreExpansion",
-    "OrthoReport",
-    "AbcdFamily",
-    "Rational",
-    "RootReport",
-    "SampleBatch",
-    "build_abcd",
-    "contour_moment_numeric",
-    "design_matrix",
-    "empirical_gram",
     "fit_least_squares",
-    "fn_closed_coeffs",
-    "fn_from_definition",
-    "fn_hypergeometric",
     "fn_roots",
-    "gn_build",
     "identity_ledger",
-    "interval_form_numeric",
-    "kn_eval",
-    "kn_exact",
-    "legendre_eval",
-    "legendre_exact",
-    "legendre_normalized_eval",
-    "legendre_on_circle",
-    "legendre_product_expand",
-    "moment_exact",
     "moments_table",
     "orthogonality_exact",
     "orthogonality_numeric",
     "predict",
-    "q_basis_all",
-    "q_basis_eval",
     "sample_arcsine",
-    "substitute",
 ]

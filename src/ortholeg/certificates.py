@@ -6,6 +6,7 @@ ledger and decide the exit status at the end.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .ratpoly import LaurentPoly
@@ -70,3 +71,21 @@ def condition_certificate(
         status="pass" if ok else "fail",
         detail=detail,
     )
+
+
+def certifies(identity: str):
+    """Decorate a check ``check(n)`` or ``check(n, k)`` returning a certificate.
+
+    An exact construction the check relies on raises ArithmeticError when it
+    fails its own certification; the decorated check reports that as a
+    failing certificate for ``identity`` instead of raising.
+    """
+    def decorate(check):
+        @functools.wraps(check)
+        def run(n: int, *k: int) -> Certificate:
+            try:
+                return check(n, *k)
+            except ArithmeticError as exc:
+                return Certificate(identity, n, *k, status="fail", detail=str(exc))
+        return run
+    return decorate

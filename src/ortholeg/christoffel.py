@@ -14,61 +14,47 @@ arcsine-sampled least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .certificates import Certificate, residual_certificate
+from .certificates import Certificate, certifies, residual_certificate
 from .legendre import legendre_all, legendre_eval, legendre_exact
 from .ratpoly import LaurentPoly
 
-MODES = ("sum", "christoffel_darboux", "closed_form")
+
+def _pstar_kn(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """P_0*(x), ..., P_n*(x) stacked along axis 0, and K_n(x) in sum form."""
+    values = legendre_all(n, x)
+    pstar = np.stack([math.sqrt((2 * k + 1) / 2) * p for k, p in enumerate(values)])
+    return pstar, np.sum(pstar * pstar, axis=0) / (n + 1)
 
 
-@dataclass(frozen=True)
-class ChristoffelEvaluator:
-    """Evaluator for K_n in one of the three equivalent modes.
+def kn_eval(n: int, x, form: str = "sum"):
+    """K_n(x) in one of its three equivalent forms; elementwise on arrays.
 
     ``sum`` is the numerically safe choice on [-1, 1] (manifestly positive);
     ``closed_form`` and ``christoffel_darboux`` extend to complex arguments.
     """
-
-    n: int
-    mode: str = "sum"
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("degree must be non-negative")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-
-    def __call__(self, x):
-        return kn_eval(self, x)
-
-
-def kn_eval(ev: ChristoffelEvaluator, x):
-    """K_n(x) by the evaluator's mode; elementwise on arrays."""
-    n = ev.n
-    if ev.mode == "sum":
-        values = legendre_all(n, x)
-        total = 0.0 * x
-        for k, p in enumerate(values):
-            total = total + (2 * k + 1) / 2 * p * p
-        return total / (n + 1)
-    if ev.mode == "christoffel_darboux":
-        pn, dn = legendre_eval(n, x)
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    if form == "sum":
+        return _pstar_kn(n, x)[1]
+    if form not in ("christoffel_darboux", "closed_form"):
+        raise ValueError("form must be sum, christoffel_darboux or closed_form")
+    pn, dn = legendre_eval(n, x)
+    if form == "christoffel_darboux":
         pn1, dn1 = legendre_eval(n + 1, x)
         return 0.5 * (dn1 * pn - pn1 * dn)
-    pn, dn = legendre_eval(n, x)
     return ((n + 1) ** 2 * pn * pn - (x * x - 1.0) * dn * dn) / (2 * (n + 1))
 
 
+@lru_cache(maxsize=None)
 def kn_exact(n: int) -> LaurentPoly:
     """Exact degree-2n polynomial K_n, certified against the closed form."""
     sum_form = _kn_exact_sum(n)
-    closed = _kn_exact_closed(n)
-    if sum_form != closed:
+    if sum_form != _kn_exact_closed(n):
         raise ArithmeticError(f"K_{n} sum and closed forms disagree")
     return sum_form
 
@@ -94,11 +80,10 @@ def _kn_exact_cd(n: int) -> LaurentPoly:
     return Fraction(1, 2) * (p1.diff() * p - p1 * p.diff())
 
 
+@certifies("christoffel-forms-agree")
 def check_kn_forms(n: int) -> Certificate:
     """Certify that the sum, Christoffel-Darboux and closed forms of K_n agree exactly."""
-    sum_form = _kn_exact_sum(n)
-    residual = (sum_form - _kn_exact_closed(n)) + (sum_form - _kn_exact_cd(n))
-    return residual_certificate("christoffel-forms-agree", n, residual)
+    return residual_certificate("christoffel-forms-agree", n, kn_exact(n) - _kn_exact_cd(n))
 
 
 def q_basis_all(n: int, x) -> np.ndarray:
@@ -110,9 +95,7 @@ def q_basis_all(n: int, x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
     if np.any(np.abs(xs) > 1):
         raise ValueError("Q basis is defined on [-1, 1]")
-    values = legendre_all(n, xs)
-    pstar = np.stack([math.sqrt((2 * k + 1) / 2) * p for k, p in enumerate(values)])
-    kn = np.sum(pstar * pstar, axis=0) / (n + 1)
+    pstar, kn = _pstar_kn(n, xs)
     return pstar / np.sqrt(kn)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -104,13 +105,11 @@ def _cmd_verify_identities(args) -> tuple[str, bool]:
 
 
 def _cmd_verify_theorem(args) -> tuple[str, bool]:
-    if args.tol <= 0:
-        raise ValueError("tolerance must be positive")
     report = quadrature_verify.orthogonality_numeric(args.n, tol=args.tol)
     deviation = max(report.max_offdiag, report.max_diag_dev)
     ok = report.converged and deviation < args.tol
     if args.format == "csv":
-        return report.to_csv(), ok
+        return quadrature_verify.gram_to_csv(report.gram), ok
     if args.format == "text":
         return (f"n={report.n} points={report.points_used} "
                 f"max deviation={deviation:.3e} status={'pass' if ok else 'fail'}\n"), ok
@@ -173,10 +172,7 @@ def _cmd_gram(args) -> tuple[str, bool]:
     gram = sampling_ls.empirical_gram(args.n, batch)
     deviation = float(np.linalg.norm(gram - np.eye(args.n + 1), 2))
     if args.format == "csv":
-        lines = [",".join(f"g{j}" for j in range(args.n + 1))]
-        for row in gram:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n", True
+        return quadrature_verify.gram_to_csv(gram), True
     if args.format == "text":
         return f"n={args.n} count={args.count} seed={args.seed} deviation={deviation:.6f}\n", True
     payload = {
@@ -239,6 +235,11 @@ def _validate(args) -> None:
     count = getattr(args, "count", None)
     if count is not None and count < 1:
         raise ValueError("--count must be at least 1")
+    if args.output is not None:
+        if os.path.isdir(args.output):
+            raise ValueError(f"--output is a directory: {args.output}")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+            raise ValueError(f"--output directory does not exist: {args.output}")
 
 
 def main(argv=None) -> int:

@@ -20,10 +20,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .certificates import Certificate, condition_certificate, residual_certificate
+from .certificates import Certificate, certifies, condition_certificate, residual_certificate
 from .christoffel import kn_exact
 from .legendre import legendre_on_circle
 from .ratpoly import JOUKOWSKI, LaurentPoly, substitute
@@ -48,12 +49,11 @@ def fn_closed_coeffs(n: int) -> LaurentPoly:
     return LaurentPoly.from_pairs(pairs)
 
 
-def _hypergeometric_series(n: int) -> tuple[LaurentPoly, Fraction]:
+def _hypergeometric_series(n: int) -> LaurentPoly:
     """Terminating 2F1(-n, 3/2; 1/2-n; w) as an exact polynomial in w.
 
-    Returns the unscaled series and its leading coefficient.  The rising
-    factorials are accumulated exactly; (1/2 - n)_k never vanishes for
-    k <= n, which is asserted.
+    The rising factorials are accumulated exactly; (1/2 - n)_k never
+    vanishes for k <= n, which is asserted.
     """
     a = Fraction(-n)
     b = Fraction(3, 2)
@@ -66,32 +66,19 @@ def _hypergeometric_series(n: int) -> tuple[LaurentPoly, Fraction]:
             raise ArithmeticError("degenerate lower parameter in hypergeometric series")
         term = term * (a + k) * (b + k) / (ck * (k + 1))
         coeffs.append(term)
-    return LaurentPoly(coeffs), coeffs[-1]
+    return LaurentPoly(coeffs)
 
 
 def fn_hypergeometric(n: int) -> LaurentPoly:
     """F_n via the scaled hypergeometric series with w -> z^2."""
-    series, _ = _hypergeometric_series(n)
     scale = Fraction(math.comb(2 * n, n), 4**n)
-    pairs = {2 * e: scale * c for e, c in series.terms()}
+    pairs = {2 * e: scale * c for e, c in _hypergeometric_series(n).terms()}
     return LaurentPoly.from_pairs(pairs)
-
-
-def gn_build(n: int) -> LaurentPoly:
-    """G_n = z^{2n} F_n(1/z), certified against the coefficient-reversal rule."""
-    f = fn_from_definition(n)
-    g = f.recip().shift(2 * n)
-    reversed_rule = LaurentPoly.from_pairs(
-        {2 * k: f.coeff(2 * (n - k)) for k in range(n + 1)}
-    )
-    if g != reversed_rule:
-        raise ArithmeticError(f"G_{n} reversal constructions disagree")
-    return g
 
 
 @dataclass(frozen=True)
 class FactorPair:
-    """The factor F_n together with its reversal G_n."""
+    """The factor F_n together with its reversal G_n = z^{2n} F_n(1/z)."""
 
     n: int
     f: LaurentPoly
@@ -99,8 +86,15 @@ class FactorPair:
 
     @classmethod
     def build(cls, n: int) -> "FactorPair":
+        """Build F_n and G_n, certifying G_n against the coefficient-reversal
+        rule, the positivity of F_n, and the values F_n(0) and G_n(0)."""
         f = fn_from_definition(n)
-        g = gn_build(n)
+        g = f.recip().shift(2 * n)
+        reversed_rule = LaurentPoly.from_pairs(
+            {2 * k: f.coeff(2 * (n - k)) for k in range(n + 1)}
+        )
+        if g != reversed_rule:
+            raise ArithmeticError(f"G_{n} reversal constructions disagree")
         if any(e % 2 or c <= 0 for e, c in f.terms()):
             raise ArithmeticError(f"F_{n} is not even with positive coefficients")
         if f.coeff(0) != Fraction(math.comb(2 * n, n), 4**n):
@@ -110,6 +104,12 @@ class FactorPair:
         return cls(n=n, f=f, g=g)
 
 
+@lru_cache(maxsize=None)
+def factor_pair(n: int) -> FactorPair:
+    """``FactorPair.build(n)``, built once per degree for the exact checks."""
+    return FactorPair.build(n)
+
+
 def check_fn_constructions(n: int) -> Certificate:
     """Certify derivative definition == closed coefficients == hypergeometric form."""
     f = fn_from_definition(n)
@@ -117,16 +117,15 @@ def check_fn_constructions(n: int) -> Certificate:
     return residual_certificate("factor-closed-coefficients", n, residual)
 
 
+@certifies("factor-hypergeometric")
 def hypergeometric_check(n: int) -> Certificate:
     """Certify the hypergeometric construction, including its leading coefficient 2n+1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    try:
-        series, leading = _hypergeometric_series(n)
-    except ArithmeticError as exc:
-        return Certificate("factor-hypergeometric", n, status="fail", detail=str(exc))
-    residual = fn_hypergeometric(n) - fn_from_definition(n)
-    cert = residual_certificate("factor-hypergeometric", n, residual)
+    hyper = fn_hypergeometric(n)
+    cert = residual_certificate("factor-hypergeometric", n, hyper - fn_from_definition(n))
+    # the unscaled series starts at 1, so its leading coefficient is F_n's top over F_n(0)
+    leading = hyper.coeff(2 * n) / hyper.coeff(0)
     if cert.passed and leading != 2 * n + 1:
         return Certificate(
             "factor-hypergeometric", n, status="fail",
@@ -135,12 +134,10 @@ def hypergeometric_check(n: int) -> Certificate:
     return cert
 
 
+@certifies("factor-reversal")
 def check_reversal(n: int) -> Certificate:
     """Certify both G_n constructions and G_n(0) = (2n+1) F_n(0)."""
-    try:
-        pair = FactorPair.build(n)
-    except ArithmeticError as exc:
-        return Certificate("factor-reversal", n, status="fail", detail=str(exc))
+    pair = factor_pair(n)
     ok = sorted(pair.f.coeffs) == sorted(pair.g.coeffs)
     return condition_certificate(
         "factor-reversal", n, ok,
@@ -148,6 +145,7 @@ def check_reversal(n: int) -> Certificate:
     )
 
 
+@certifies("fejer-riesz")
 def check_fejer_riesz(n: int) -> Certificate:
     """Certify K_n(J(z)) = F_n(z) F_n(1/z) / (2(n+1)) exactly."""
     f = fn_from_definition(n)
@@ -156,6 +154,7 @@ def check_fejer_riesz(n: int) -> Certificate:
     return residual_certificate("fejer-riesz", n, residual)
 
 
+@certifies("factor-recurrence-form")
 def check_fn_gn_alt(n: int) -> Certificate:
     """Certify the recurrence forms of F_n and G_n.
 
@@ -168,8 +167,8 @@ def check_fn_gn_alt(n: int) -> Certificate:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    f = fn_from_definition(n)
-    g = gn_build(n)
+    pair = factor_pair(n)
+    f, g = pair.f, pair.g
     ln = legendre_on_circle(n)
     ln1 = legendre_on_circle(n - 1)
     x2m1 = LaurentPoly.from_pairs({2: 1, 0: -1})
@@ -258,14 +257,14 @@ def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray, max_iter: int = 60) ->
     return roots
 
 
-def fn_roots(n: int, residual_tol: float = 1e-10) -> RootReport:
+def fn_roots(n: int) -> RootReport:
     """Compute and certify the 2n roots of F_n.
 
     F_n is even, so the companion matrix of the degree-n polynomial in
     w = z^2 is solved first and the w-roots are polished by simultaneous
     Aberth iteration; the z-roots are then the +- square roots, preserving
     the pair structure exactly.  Each root carries its residual |F_n(z)|
-    against ``residual_tol * (n+1)`` (F_n has positive coefficients, so
+    against ``1e-10 * (n+1)`` (F_n has positive coefficients, so
     n + 1 = F_n(1) bounds it on the closed disk).
     """
     if n < 1:
@@ -287,7 +286,7 @@ def fn_roots(n: int, residual_tol: float = 1e-10) -> RootReport:
             res = abs(f(z))
             records.append(RootRecord(
                 re=z.real, im=z.imag, modulus=abs(z),
-                residual=res, converged=res <= residual_tol * scale,
+                residual=res, converged=res <= 1e-10 * scale,
             ))
     records.sort(key=lambda r: (r.re, r.im))
     zs = np.array([complex(r.re, r.im) for r in records])

@@ -16,7 +16,7 @@ from . import christoffel, factorization, legendre, partial_fractions
 from .certificates import Certificate
 
 
-def identity_ledger(n_max: int, include_orthogonality: bool = True) -> list[Certificate]:
+def identity_ledger(n_max: int) -> list[Certificate]:
     """Run every exact identity check for 1 <= n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -36,8 +36,7 @@ def identity_ledger(n_max: int, include_orthogonality: bool = True) -> list[Cert
         certs.append(partial_fractions.check_support(n))
         certs.append(partial_fractions.leading_coefficient_checks(n))
         certs.append(partial_fractions.check_moments(n))
-        if include_orthogonality:
-            certs.append(partial_fractions.check_orthogonality(n))
+        certs.append(partial_fractions.check_orthogonality(n))
     return certs
 
 

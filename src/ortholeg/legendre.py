@@ -164,41 +164,27 @@ def _split_square(m: int) -> tuple[int, int]:
     return s, m
 
 
-def _mul_by_x(vec: list[Fraction]) -> list[Fraction]:
-    # x P_k = ((k+1) P_{k+1} + k P_{k-1}) / (2k+1)
-    out = [Fraction(0)] * (len(vec) + 1)
-    for k, v in enumerate(vec):
-        if not v:
-            continue
-        out[k + 1] += v * Fraction(k + 1, 2 * k + 1)
-        if k:
-            out[k - 1] += v * Fraction(k, 2 * k + 1)
-    return out
+def _adams(r: int) -> Fraction:
+    # A_r = (1/2)_r / r! = C(2r, r) / 4^r
+    return Fraction(math.comb(2 * r, r), 4**r)
 
 
 def legendre_product_expand(i: int, j: int) -> LegendreExpansion:
     """Exact Legendre-basis expansion of P_i* P_j*.
 
-    P_i P_j is expanded by repeated multiplication by x through the monomial
-    coefficients of P_i; the normalization sqrt((2i+1)(2j+1))/2 is carried as
-    the radical part of the result.  The constant coefficient a_0 equals
-    delta_ij / 2 exactly.
+    P_i P_j is expanded by Adams' linearization formula (Adams 1878): with
+    t = i + j - r, the coefficient of P_{t-r} is
+    A_{i-r} A_r A_{j-r} / A_t * (2(t-r)+1)/(2t+1) for 0 <= r <= min(i, j).
+    The normalization sqrt((2i+1)(2j+1))/2 is carried as the radical part of
+    the result.  The constant coefficient a_0 equals delta_ij / 2 exactly.
     """
     if i < 0 or j < 0:
         raise ValueError("degrees must be non-negative")
-    mono = legendre_exact(i).monomial_coefficients()
-    cur = [Fraction(0)] * (j + 1)
-    cur[j] = Fraction(1)
-    acc = [Fraction(0)] * (i + j + 1)
-    for t, c in enumerate(mono):
-        if c:
-            for k, v in enumerate(cur):
-                if v:
-                    acc[k] += c * v
-        if t < len(mono) - 1:
-            cur = _mul_by_x(cur)
     s, radicand = _split_square((2 * i + 1) * (2 * j + 1))
-    coeffs = [b * s * _HALF for b in acc]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = [Fraction(0)] * (i + j + 1)
+    for r in range(min(i, j) + 1):
+        t = i + j - r
+        k = t - r
+        coeffs[k] = (_adams(i - r) * _adams(r) * _adams(j - r) / _adams(t)
+                     * Fraction(2 * k + 1, 2 * t + 1) * s * _HALF)
     return LegendreExpansion(coefficients=tuple(coeffs), radicand=radicand)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .certificates import Certificate, condition_certificate, residual_certificate
-from .factorization import FactorPair
+from .certificates import Certificate, certifies, condition_certificate, residual_certificate
+from .factorization import FactorPair, factor_pair
 from .legendre import legendre_on_circle, legendre_product_expand
 from .ratpoly import JOUKOWSKI, LaurentPoly
 
@@ -74,32 +74,29 @@ def _family(n: int) -> AbcdFamily:
     return build_abcd(n)
 
 
-@lru_cache(maxsize=None)
-def _factors(n: int) -> FactorPair:
-    return FactorPair.build(n)
-
-
 def _pfd_target(n: int, m: int) -> LaurentPoly:
     # 2(n+1) z^{2n-1} P_m(J(z))
     return (2 * (n + 1)) * legendre_on_circle(m).shift(2 * n - 1)
 
 
+@certifies("pfd-plus")
 def check_pfd_plus(n: int, k: int) -> Certificate:
     """Certify 2(n+1) z^{2n-1} P_{n+k}(J) = A_k G_n + B_k F_n exactly."""
     if k < 0:
         raise ValueError("k must be non-negative")
     fam = build_abcd(n, k_max=max(k, 1)) if k > n else _family(n)
-    pair = _factors(n)
+    pair = factor_pair(n)
     residual = _pfd_target(n, n + k) - (fam.a[k] * pair.g + fam.b[k] * pair.f)
     return residual_certificate("pfd-plus", n, residual, k=k)
 
 
+@certifies("pfd-minus")
 def check_pfd_minus(n: int, k: int) -> Certificate:
     """Certify 2(n+1) z^{2n-1} P_{n-k}(J) = C_k G_n + D_k F_n exactly."""
     if not 0 <= k <= n:
         raise ValueError("k must satisfy 0 <= k <= n")
     fam = _family(n)
-    pair = _factors(n)
+    pair = factor_pair(n)
     residual = _pfd_target(n, n - k) - (fam.c[k] * pair.g + fam.d[k] * pair.f)
     return residual_certificate("pfd-minus", n, residual, k=k)
 
@@ -160,6 +157,7 @@ def check_support(n: int) -> Certificate:
     return condition_certificate("pfd-support", n, not problems, detail="; ".join(problems))
 
 
+@certifies("pfd-leading-coefficient")
 def leading_coefficient_checks(n: int) -> Certificate:
     """Certify the two coefficient identities behind the k = 0 moment.
 
@@ -169,7 +167,7 @@ def leading_coefficient_checks(n: int) -> Certificate:
     exactly; its value is recorded against B as well.
     """
     fam = _family(n)
-    pair = _factors(n)
+    pair = factor_pair(n)
     lc_f = pair.f.coeff(2 * n)
     problems = []
     if fam.c[n].coeff(2 * n - 1) != lc_f:
@@ -223,7 +221,7 @@ def moment_exact(n: int, k: int) -> Fraction:
     if not 0 <= k <= 2 * n:
         raise ValueError("k must satisfy 0 <= k <= 2n")
     fam = _family(n)
-    pair = _factors(n)
+    pair = factor_pair(n)
     if k >= n:
         u, v = fam.a[k - n], fam.b[k - n]
     else:
@@ -237,6 +235,7 @@ def moments_table(n: int) -> tuple[Fraction, ...]:
     return tuple(moment_exact(n, k) for k in range(2 * n + 1))
 
 
+@certifies("moment-values")
 def check_moments(n: int) -> Certificate:
     """Certify moment_exact(n, k) == 2 delta_{k0} for every admissible k."""
     bad = [k for k, m in enumerate(moments_table(n))
@@ -267,6 +266,7 @@ def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
     return s
 
 
+@certifies("weighted-orthogonality")
 def check_orthogonality(n: int) -> Certificate:
     """Certify the full (n+1) x (n+1) exact Gram matrix is the identity."""
     bad = []

@@ -22,11 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorization import fn_from_definition, gn_build
+from .christoffel import _pstar_kn
+from .factorization import FactorPair
 from .legendre import legendre_all
 
 BASE_POINTS = 64
 MAX_POINTS = 2**20
+
+
+def gram_to_csv(gram: np.ndarray) -> str:
+    """A Gram matrix as CSV: a g0,...,gn header, then one row per line."""
+    lines = [",".join(f"g{j}" for j in range(len(gram)))]
+    for row in gram:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -56,29 +65,37 @@ class OrthoReport:
             "unconverged_entries": [list(e) for e in self.unconverged_entries],
         }
 
-    def to_csv(self) -> str:
-        lines = [",".join(f"g{j}" for j in range(self.n + 1))]
-        for row in self.gram:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+
+def _refine(evaluate, tol: float):
+    """Evaluate on uniform grids of BASE_POINTS, 2 BASE_POINTS, ... points.
+
+    Stops at the first doubling whose value differs from the previous one by
+    less than ``tol`` (entrywise for arrays), or at MAX_POINTS.  Returns the
+    last value, its grid size, the largest change at each doubling, and the
+    last change itself.
+    """
+    points = BASE_POINTS
+    value = evaluate(points)
+    history: list[float] = []
+    while points * 2 <= MAX_POINTS:
+        points *= 2
+        cur = evaluate(points)
+        change = abs(cur - value)
+        history.append(float(np.max(change)))
+        value = cur
+        if history[-1] < tol:
+            break
+    return value, points, history, change
 
 
 def _gram_on_grid(n: int, points: int) -> np.ndarray:
     theta = 2 * np.pi * np.arange(points) / points
-    x = np.cos(theta)
-    values = legendre_all(n, x)
-    pstar = np.stack([math.sqrt((2 * k + 1) / 2) * p for k, p in enumerate(values)])
-    kn = np.sum(pstar * pstar, axis=0) / (n + 1)
+    pstar, kn = _pstar_kn(n, np.cos(theta))
     q = pstar / np.sqrt(kn)
     return (q @ q.T) / points
 
 
-def orthogonality_numeric(
-    n: int,
-    tol: float = 1e-10,
-    base_points: int = BASE_POINTS,
-    max_points: int = MAX_POINTS,
-) -> OrthoReport:
+def orthogonality_numeric(n: int, tol: float = 1e-10) -> OrthoReport:
     """Gram matrix of the periodic form by trapezoid refinement.
 
     The uniform grid is doubled until successive matrices agree entrywise to
@@ -87,27 +104,12 @@ def orthogonality_numeric(
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    points = base_points
-    prev = _gram_on_grid(n, points)
-    history: list[float] = []
-    converged = False
-    unconverged: tuple[tuple[int, int], ...] = ()
-    last_delta = np.abs(prev)
-    while points * 2 <= max_points:
-        points *= 2
-        cur = _gram_on_grid(n, points)
-        last_delta = np.abs(cur - prev)
-        history.append(float(last_delta.max()))
-        prev = cur
-        if history[-1] < tol / 10:
-            converged = True
-            break
-    if not converged:
-        mask = np.argwhere(last_delta >= tol / 10)
-        unconverged = tuple((int(i), int(j)) for i, j in mask)
-    gram = prev
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
+    gram, points, history, change = _refine(lambda p: _gram_on_grid(n, p), tol / 10)
+    converged = history[-1] < tol / 10
+    unconverged = () if converged else tuple(
+        (int(i), int(j)) for i, j in np.argwhere(change >= tol / 10))
     diag = np.diag(gram)
     off = gram - np.diag(diag)
     return OrthoReport(
@@ -133,73 +135,42 @@ def unit_circle_integral(func, points: int) -> complex:
     return complex(np.mean(func(z) * z))
 
 
-def contour_moment_numeric(
-    n: int,
-    k: int,
-    tol: float = 1e-12,
-    base_points: int = BASE_POINTS,
-    max_points: int = MAX_POINTS,
-) -> complex:
+def contour_moment_numeric(n: int, k: int) -> complex:
     """Unit-circle moment of 2(n+1) z^{2n-1} P_k(J(z)) / (F_n G_n), numerically.
 
-    The grid is conjugate-symmetric so the imaginary part cancels to roundoff;
-    the real part converges to the exact rational moment.
+    The grid is doubled until successive values agree to 1e-12.  It is
+    conjugate-symmetric so the imaginary part cancels to roundoff; the real
+    part converges to the exact rational moment.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= 2 * n:
         raise ValueError("k must satisfy 0 <= k <= 2n")
-    f = fn_from_definition(n)
-    g = gn_build(n)
+    pair = FactorPair.build(n)
 
     def integrand(z):
         x = 0.5 * (z + 1.0 / z)
         pk = legendre_all(k, x)[k]
-        return 2 * (n + 1) * z ** (2 * n - 1) * pk / (f(z) * g(z))
+        return 2 * (n + 1) * z ** (2 * n - 1) * pk / (pair.f(z) * pair.g(z))
 
-    points = base_points
-    prev = unit_circle_integral(integrand, points)
-    while points * 2 <= max_points:
-        points *= 2
-        cur = unit_circle_integral(integrand, points)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
+    return _refine(lambda p: unit_circle_integral(integrand, p), 1e-12)[0]
 
 
-def interval_form_numeric(
-    n: int,
-    i: int,
-    j: int,
-    tol: float = 1e-13,
-    base_points: int = BASE_POINTS,
-    max_points: int = MAX_POINTS,
-) -> float:
+def interval_form_numeric(n: int, i: int, j: int) -> float:
     """The interval form with the arcsine weight, by Gauss-Chebyshev nodes.
 
     integral over (-1,1) of P_i* P_j* / (K_n pi sqrt(1-x^2)) dx is the mean of
     the weight-free integrand at x_m = cos((2m-1) pi / 2M): exactly the
     x = cos(theta) substitution, sampled at interior midpoints, so it checks
-    the change of variables against the trapezoid path numerically.
+    the change of variables against the trapezoid path numerically.  The
+    node count M is doubled until successive values agree to 1e-13.
     """
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i, j <= n")
 
     def value(points: int) -> float:
         m = np.arange(1, points + 1)
-        x = np.cos((2 * m - 1) * np.pi / (2 * points))
-        values = legendre_all(n, x)
-        pstar = np.stack([math.sqrt((2 * k + 1) / 2) * p for k, p in enumerate(values)])
-        kn = np.sum(pstar * pstar, axis=0) / (n + 1)
+        pstar, kn = _pstar_kn(n, np.cos((2 * m - 1) * np.pi / (2 * points)))
         return float(np.mean(pstar[i] * pstar[j] / kn))
 
-    points = base_points
-    prev = value(points)
-    while points * 2 <= max_points:
-        points *= 2
-        cur = value(points)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
+    return _refine(value, 1e-13)[0]

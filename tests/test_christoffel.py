@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ortholeg.christoffel import (
-    ChristoffelEvaluator,
     check_kn_forms,
     kn_eval,
     kn_exact,
@@ -20,25 +19,24 @@ RNG = np.random.default_rng(1357)
 
 def test_value_at_zero_degree_one():
     # K_1(x) = (1 + 3x^2)/4
-    assert kn_eval(ChristoffelEvaluator(1), 0.0) == pytest.approx(0.25, abs=1e-15)
+    assert kn_eval(1, 0.0) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_value_at_one():
     # P_k(1) = 1 forces K_n(1) = (n+1)/2
     for n in (1, 2, 7, 30):
-        for mode in ("sum", "christoffel_darboux", "closed_form"):
-            ev = ChristoffelEvaluator(n, mode)
-            assert kn_eval(ev, 1.0) == pytest.approx((n + 1) / 2, rel=1e-12)
-    assert kn_eval(ChristoffelEvaluator(1), 1.0) == pytest.approx(1.0)
-    assert kn_eval(ChristoffelEvaluator(2), 1.0) == pytest.approx(1.5)
+        for form in ("sum", "christoffel_darboux", "closed_form"):
+            assert kn_eval(n, 1.0, form) == pytest.approx((n + 1) / 2, rel=1e-12)
+    assert kn_eval(1, 1.0) == pytest.approx(1.0)
+    assert kn_eval(2, 1.0) == pytest.approx(1.5)
 
 
 def test_closed_form_hand_expansion_degree_one():
     # (1/4)(4x^2 - (x^2-1)) = (3x^2+1)/4 agrees with the sum form
     xs = RNG.uniform(-1, 1, 50)
-    closed = kn_eval(ChristoffelEvaluator(1, "closed_form"), xs)
+    closed = kn_eval(1, xs, "closed_form")
     assert np.allclose(closed, (3 * xs**2 + 1) / 4, atol=1e-15)
-    assert np.allclose(closed, kn_eval(ChristoffelEvaluator(1, "sum"), xs), atol=1e-15)
+    assert np.allclose(closed, kn_eval(1, xs, "sum"), atol=1e-15)
 
 
 def test_exact_low_degrees():
@@ -54,9 +52,9 @@ def test_exact_forms_agree_to_forty():
 def test_modes_agree_at_random_points():
     xs = RNG.uniform(-1, 1, 200)
     for n in range(51):
-        sum_vals = kn_eval(ChristoffelEvaluator(n, "sum"), xs)
-        cd_vals = kn_eval(ChristoffelEvaluator(n, "christoffel_darboux"), xs)
-        closed_vals = kn_eval(ChristoffelEvaluator(n, "closed_form"), xs)
+        sum_vals = kn_eval(n, xs, "sum")
+        cd_vals = kn_eval(n, xs, "christoffel_darboux")
+        closed_vals = kn_eval(n, xs, "closed_form")
         scale = np.abs(sum_vals)
         assert np.max(np.abs(cd_vals - sum_vals) / scale) < 1e-11
         assert np.max(np.abs(closed_vals - sum_vals) / scale) < 1e-11
@@ -65,21 +63,23 @@ def test_modes_agree_at_random_points():
 def test_modes_agree_at_complex_points():
     zs = RNG.uniform(-1, 1, 20) + 1j * RNG.uniform(-1, 1, 20)
     for n in (1, 4, 9):
-        cd_vals = kn_eval(ChristoffelEvaluator(n, "christoffel_darboux"), zs)
-        closed_vals = kn_eval(ChristoffelEvaluator(n, "closed_form"), zs)
+        cd_vals = kn_eval(n, zs, "christoffel_darboux")
+        closed_vals = kn_eval(n, zs, "closed_form")
         assert np.max(np.abs(cd_vals - closed_vals)) < 1e-11 * np.max(np.abs(cd_vals))
 
 
 def test_positive_on_interval():
     xs = RNG.uniform(-1, 1, 1000)
     for n in range(51):
-        values = kn_eval(ChristoffelEvaluator(n, "sum"), xs)
+        values = kn_eval(n, xs, "sum")
         assert np.all(values > 0)
 
 
 def test_invalid_mode_rejected():
     with pytest.raises(ValueError):
-        ChristoffelEvaluator(3, "chebyshev")
+        kn_eval(3, 0.5, "chebyshev")
+    with pytest.raises(ValueError):
+        kn_eval(-1, 0.5)
 
 
 class TestQBasis:

@@ -1,10 +1,23 @@
 """Command-line surface: dispatch, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from ortholeg import cli
 from ortholeg.cli import main
+
+# SHA-256 of exact (pure Fraction) artifacts, pinned so that refactors of the
+# exact layers are checked against fixed bytes rather than against a rerun.
+GOLDEN_SHA256 = {
+    ("verify-identities", "--n-max", "10"):
+        "02aff678184cfd2aebed9083261fffe2ebb38831a0ffe6e35e335f64b69659db",
+    ("factor", "--n", "6"):
+        "2b129188d6ac0b2ef8648455a19c1e4e8174892c841a8068a3b236d578c2ca27",
+    ("moments", "--n", "8"):
+        "979ef1fd2b60ac66b38dc42caddfcb9aa34be3738ac6663309151006ec6b4320",
+}
 
 
 def run(tmp_path, *argv):
@@ -93,6 +106,33 @@ def test_invalid_configuration_exits_two(tmp_path):
     assert main(["verify-identities", "--n-max", "0"]) == 2
     assert main(["sample", "--count", "0"]) == 2
     assert main(["verify-theorem", "--n", "2", "--tol", "-1"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_exits_two(tol, capsys):
+    assert main(["verify-theorem", "--n", "2", f"--tol={tol}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_output_into_missing_directory_exits_two(tmp_path, capsys, monkeypatch):
+    def must_not_run(n_max):
+        raise AssertionError("the ledger ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "identity_ledger", must_not_run)
+    target = tmp_path / "missing" / "ledger.jsonl"
+    assert main(["verify-identities", "--n-max", "2", "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+    assert main(["verify-identities", "--n-max", "2", "--output", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256))
+def test_exact_artifacts_match_pinned_digests(tmp_path, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_SHA256[argv]
 
 
 def test_unknown_command_exits_two():

@@ -17,7 +17,6 @@ from ortholeg.factorization import (
     fn_from_definition,
     fn_hypergeometric,
     fn_roots,
-    gn_build,
     hypergeometric_check,
     _hypergeometric_series,
 )
@@ -54,11 +53,11 @@ class TestConstructions:
 
 class TestReversal:
     def test_g_low_degrees(self):
-        assert gn_build(1) == lp({0: F(3, 2), 2: F(1, 2)})
-        assert gn_build(2) == lp({0: F(15, 8), 2: F(6, 8), 4: F(3, 8)})
+        assert FactorPair.build(1).g == lp({0: F(3, 2), 2: F(1, 2)})
+        assert FactorPair.build(2).g == lp({0: F(15, 8), 2: F(6, 8), 4: F(3, 8)})
 
     def test_value_at_zero_ratio(self):
-        assert gn_build(2).coeff(0) == F(15, 8) == 5 * fn_from_definition(2).coeff(0)
+        assert FactorPair.build(2).g.coeff(0) == F(15, 8) == 5 * fn_from_definition(2).coeff(0)
         for n in range(1, 21):
             pair = FactorPair.build(n)
             assert pair.g.coeff(0) == (2 * n + 1) * pair.f.coeff(0)
@@ -114,9 +113,9 @@ class TestOde:
 
 class TestHypergeometric:
     def test_hand_degree_one(self):
-        series, leading = _hypergeometric_series(1)
+        series = _hypergeometric_series(1)
         assert series == lp({0: 1, 1: 3})
-        assert leading == 3
+        assert series.coeff(series.degree) == 3
         assert fn_hypergeometric(1) == fn_from_definition(1)
 
     def test_degree_two(self):
@@ -124,8 +123,9 @@ class TestHypergeometric:
 
     def test_unscaled_leading_coefficient(self):
         for n in range(1, 41):
-            _, leading = _hypergeometric_series(n)
-            assert leading == 2 * n + 1
+            series = _hypergeometric_series(n)
+            assert series.degree == n
+            assert series.coeff(n) == 2 * n + 1
 
     def test_certificates(self):
         for n in range(1, 21):
@@ -173,11 +173,11 @@ class TestRoots:
 
     def test_kernel_positive_on_circle(self):
         # K_n(J(z)) cannot vanish for |z| = 1: grid minimum stays well positive
-        from ortholeg.christoffel import ChristoffelEvaluator, kn_eval
+        from ortholeg.christoffel import kn_eval
 
         thetas = np.linspace(0, 2 * np.pi, 720, endpoint=False)
         for n in (1, 5, 12, 20):
-            values = kn_eval(ChristoffelEvaluator(n, "sum"), np.cos(thetas))
+            values = kn_eval(n, np.cos(thetas), "sum")
             assert values.min() >= 0.25  # grid minimum is K_n(0), which is >= 1/4
 
     def test_roots_json_shape(self):

@@ -164,6 +164,17 @@ class TestProductExpand:
                 else:
                     assert exp.coefficients[0] == 0
 
+    def test_expansion_reproduces_exact_monomial_product(self):
+        # P_i P_j = (2 / s) sum_k c_k P_k, where sqrt((2i+1)(2j+1)) = s sqrt(radicand)
+        for i in range(13):
+            for j in range(13):
+                exp = legendre_product_expand(i, j)
+                s = math.isqrt((2 * i + 1) * (2 * j + 1) // exp.radicand)
+                rebuilt = LaurentPoly.zero()
+                for k, c in enumerate(exp.coefficients):
+                    rebuilt = rebuilt + F(2, s) * c * legendre_exact(k)
+                assert rebuilt == legendre_exact(i) * legendre_exact(j)
+
     def test_expansion_reproduces_product_numerically(self):
         xs = RNG.uniform(-1, 1, size=20)
         for i, j in ((2, 3), (4, 4), (0, 5), (6, 1)):

@@ -18,7 +18,7 @@ from ortholeg.partial_fractions import (
     moments_table,
     orthogonality_exact,
 )
-from ortholeg.factorization import fn_from_definition, gn_build
+from ortholeg.factorization import FactorPair, fn_from_definition
 from ortholeg.legendre import legendre_on_circle
 from ortholeg.ratpoly import LaurentPoly
 
@@ -49,14 +49,14 @@ class TestPfdPlus:
     def test_degree_one_first_step(self):
         # A_1 G_1 + B_1 F_1 = (3z^3 + 2z + 3/z)/2 = 4z P_2(J(z))
         fam = build_abcd(1)
-        combo = fam.a[1] * gn_build(1) + fam.b[1] * fn_from_definition(1)
+        combo = fam.a[1] * FactorPair.build(1).g + fam.b[1] * fn_from_definition(1)
         assert combo == lp({3: F(3, 2), 1: 1, -1: F(3, 2)})
         assert combo == 4 * legendre_on_circle(2).shift(1)
 
     def test_common_base_to_forty(self):
         # z^{n-1}(F_n + G_n) = 2(n+1) z^{2n-1} P_n(J(z))
         for n in range(1, 41):
-            f, g = fn_from_definition(n), gn_build(n)
+            f, g = fn_from_definition(n), FactorPair.build(n).g
             lhs = (f + g).shift(n - 1)
             rhs = (2 * (n + 1)) * legendre_on_circle(n).shift(2 * n - 1)
             assert lhs == rhs
@@ -74,7 +74,7 @@ class TestPfdPlus:
 class TestPfdMinus:
     def test_degree_one_reaches_constant(self):
         fam = build_abcd(1)
-        combo = fam.c[1] * gn_build(1) + fam.d[1] * fn_from_definition(1)
+        combo = fam.c[1] * FactorPair.build(1).g + fam.d[1] * fn_from_definition(1)
         assert combo == lp({1: 4})
 
     def test_degree_two_bottom(self):
@@ -117,7 +117,7 @@ class TestLeadingCoefficients:
         fam = build_abcd(1)
         assert fn_from_definition(1).coeff(2) == F(3, 2)
         assert fam.c[1].coeff(1) == F(3, 2)
-        assert fam.d[1].coeff(-1) == F(3, 2) == gn_build(1).coeff(0)
+        assert fam.d[1].coeff(-1) == F(3, 2) == FactorPair.build(1).g.coeff(0)
 
     def test_to_twenty(self):
         for n in range(1, 21):

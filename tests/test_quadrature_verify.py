@@ -5,6 +5,7 @@ import pytest
 
 from ortholeg.partial_fractions import moment_exact
 from ortholeg.quadrature_verify import (
+    BASE_POINTS,
     contour_moment_numeric,
     interval_form_numeric,
     orthogonality_numeric,
@@ -34,9 +35,10 @@ class TestOrthogonalityNumeric:
             assert np.max(np.abs(gram - gram.T)) < 1e-13
 
     def test_points_power_of_two_times_base(self):
-        report = orthogonality_numeric(5, base_points=64)
-        ratio = report.points_used // 64
-        assert report.points_used % 64 == 0
+        assert BASE_POINTS == 64
+        report = orthogonality_numeric(5)
+        ratio = report.points_used // BASE_POINTS
+        assert report.points_used % BASE_POINTS == 0
         assert ratio & (ratio - 1) == 0
 
     def test_geometric_refinement(self):
@@ -53,6 +55,11 @@ class TestOrthogonalityNumeric:
             orthogonality_numeric(-1)
         with pytest.raises(ValueError):
             orthogonality_numeric(2, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_tolerance_must_be_finite(self, tol):
+        with pytest.raises(ValueError):
+            orthogonality_numeric(2, tol=tol)
 
 
 class TestContourMoment:
