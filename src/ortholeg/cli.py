@@ -23,6 +23,10 @@ from .ledger import identity_ledger, ledger_lines
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SEED = 0
+# Caps on the exact runs, whose cost grows about as n^5 for the ledger; each
+# capped run takes about a minute or less.
+MAX_N_MAX = 50
+MAX_N_EXACT = 250
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,9 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, formats=("json", "text")):
         p.add_argument("--output", default=None, help="write the artifact to this path")
-        p.add_argument("--format", default="json", choices=("json", "csv", "text"))
+        p.add_argument("--format", default="json", choices=formats)
+
+    with_csv = ("json", "csv", "text")
 
     p = sub.add_parser("verify-identities", help="run the exact certificate ledger")
     p.add_argument("--n-max", type=int, required=True)
@@ -45,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-theorem", help="numeric Gram matrix of the weighted inner products")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    add_common(p)
+    add_common(p, with_csv)
 
     p = sub.add_parser("factor", help="spectral factor coefficients and certificates")
     p.add_argument("--n", type=int, required=True)
@@ -63,18 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_common(p)
+    add_common(p, with_csv)
 
     p = sub.add_parser("sample", help="draw a reproducible arcsine sample")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_common(p)
+    add_common(p, with_csv)
 
-    p = sub.add_parser("fit", help="least-squares fit of exp(x) in the weighted basis")
+    p = sub.add_parser("fit", help="Christoffel-weighted least-squares fit of exp(x)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_common(p)
+    add_common(p, with_csv)
 
     return parser
 
@@ -193,7 +199,7 @@ def _cmd_sample(args) -> tuple[str, bool]:
         return sampling_ls.samples_to_csv(batch), True
     if args.format == "text":
         return f"count={batch.count} seed={batch.seed} generator={batch.generator_name}\n", True
-    return batch.to_json_str() + "\n", True
+    return _json_text(batch.to_json()), True
 
 
 def _cmd_fit(args) -> tuple[str, bool]:
@@ -229,9 +235,11 @@ def _validate(args) -> None:
         raise ValueError("--n must be non-negative")
     if args.command in ("roots", "moments") and n is not None and n < 1:
         raise ValueError("--n must be at least 1 for this command")
+    if args.command in ("factor", "moments") and n > MAX_N_EXACT:
+        raise ValueError(f"--n must be at most {MAX_N_EXACT} for this command")
     n_max = getattr(args, "n_max", None)
-    if n_max is not None and n_max < 1:
-        raise ValueError("--n-max must be at least 1")
+    if n_max is not None and not 1 <= n_max <= MAX_N_MAX:
+        raise ValueError(f"--n-max must be between 1 and {MAX_N_MAX}")
     count = getattr(args, "count", None)
     if count is not None and count < 1:
         raise ValueError("--count must be at least 1")

@@ -16,7 +16,6 @@ disk, which is what makes the contour-moment bookkeeping work.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +46,14 @@ def fn_closed_coeffs(n: int) -> LaurentPoly:
         for k in range(n + 1)
     }
     return LaurentPoly.from_pairs(pairs)
+
+
+def fn_float_coeffs(n: int) -> np.ndarray:
+    """F_n's coefficients of w^0, ..., w^n (w = z^2), each correctly rounded to float.
+
+    The numeric paths evaluate F_n and its reversal G_n from this array.
+    """
+    return np.array([float(c) for c in fn_closed_coeffs(n).coeffs[::2]])
 
 
 def _hypergeometric_series(n: int) -> LaurentPoly:
@@ -233,9 +240,6 @@ class RootReport:
     def to_json(self) -> dict:
         return {"n": self.n, "roots": [r.to_json() for r in self.roots]}
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray, max_iter: int = 60) -> np.ndarray:
     """Simultaneous Aberth refinement of all roots of a monic polynomial.
@@ -269,8 +273,7 @@ def fn_roots(n: int) -> RootReport:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    f = fn_from_definition(n)
-    even = np.array([float(f.coeff(2 * k)) for k in range(n, -1, -1)])
+    even = fn_float_coeffs(n)[::-1]
     monic = even / even[0]
     companion = np.zeros((n, n), dtype=complex)
     companion[0, :] = -monic[1:]
@@ -278,18 +281,19 @@ def fn_roots(n: int) -> RootReport:
         companion[np.arange(1, n), np.arange(0, n - 1)] = 1.0
     w_roots = np.linalg.eigvals(companion)
     w_roots = _aberth_polish(monic, w_roots)
-    scale = float(n + 1)
-    records = []
+    zs = []
     for w in sorted(w_roots, key=lambda v: (v.real, v.imag)):
         s = cmath.sqrt(w)
-        for z in (s, -s):
-            res = abs(f(z))
-            records.append(RootRecord(
-                re=z.real, im=z.imag, modulus=abs(z),
-                residual=res, converged=res <= 1e-10 * scale,
-            ))
+        zs += [s, -s]
+    zs = np.array(zs)
+    residuals = np.abs(np.polyval(even, zs * zs))
+    scale = float(n + 1)
+    records = [
+        RootRecord(re=z.real, im=z.imag, modulus=abs(z), residual=float(res),
+                   converged=bool(res <= 1e-10 * scale))
+        for z, res in zip(zs, residuals)
+    ]
     records.sort(key=lambda r: (r.re, r.im))
-    zs = np.array([complex(r.re, r.im) for r in records])
     diffs = np.abs(zs[:, None] - zs[None, :])
     np.fill_diagonal(diffs, np.inf)
     return RootReport(

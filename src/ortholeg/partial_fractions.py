@@ -1,25 +1,25 @@
-"""Partial-fraction families and exact contour moments.
+"""Partial-fraction family and exact contour moments.
 
-Four families of Laurent polynomials split 2(n+1) z^{2n-1} P_m(J(z)) over
-the factors F_n and G_n,
+One family of Laurent polynomials, indexed by the Legendre degree m, splits
+2(n+1) z^{2n-1} P_m(J(z)) over the factors F_n and G_n,
 
-    2(n+1) z^{2n-1} P_{n+k}(J) = A_k G_n + B_k F_n,      k = 0..n,
-    2(n+1) z^{2n-1} P_{n-k}(J) = C_k G_n + D_k F_n,      k = 0..n,
+    2(n+1) z^{2n-1} P_m(J) = U_m G_n + V_m F_n,      m = 0..2n.
 
-so the unit-circle moment of P_m(J)/(F_n G_n) reduces to coefficient
-extraction: residues of polynomial/F_n sum to a leading-coefficient ratio,
-anything/G_n integrates to zero (all G_n zeros outside the closed disk), and
-the z^{-1} pieces contribute residues at the origin.  No numerical
-integration and no evaluation at the (irrational) roots is ever needed, so
-the weighted orthogonality of the full basis is certified in exact rational
-arithmetic: the moment is 2 for P_0 and 0 for every 1 <= m <= 2n, hence the
-inner product of P_i* and P_j* under the arcsine/Christoffel weight is
-exactly the Kronecker delta.
+(The paper's four families are A_k = U_{n+k}, B_k = V_{n+k}, C_k = U_{n-k}
+and D_k = V_{n-k}, for k = 0..n.)  The unit-circle moment of
+P_m(J)/(F_n G_n) therefore reduces to coefficient extraction: residues of
+polynomial/F_n sum to a leading-coefficient ratio, anything/G_n integrates
+to zero (all G_n zeros outside the closed disk), and the z^{-1} pieces
+contribute residues at the origin.  No numerical integration and no
+evaluation at the (irrational) roots is ever needed, so the weighted
+orthogonality of the full basis is certified in exact rational arithmetic:
+the moment is 2 for P_0 and 0 for every 1 <= m <= 2n, hence the inner
+product of P_i* and P_j* under the arcsine/Christoffel weight is exactly the
+Kronecker delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,153 +29,91 @@ from .legendre import legendre_on_circle, legendre_product_expand
 from .ratpoly import JOUKOWSKI, LaurentPoly
 
 
-@dataclass(frozen=True)
-class AbcdFamily:
-    """The splitting families, indexed A/B by k = 0..k_max and C/D by k = 0..n."""
+@lru_cache(maxsize=None)
+def build_abcd(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]]:
+    """The splitting family (U_0..U_{2n}, V_0..V_{2n}) of degree n.
 
-    n: int
-    a: tuple[LaurentPoly, ...]
-    b: tuple[LaurentPoly, ...]
-    c: tuple[LaurentPoly, ...]
-    d: tuple[LaurentPoly, ...]
-
-
-def build_abcd(n: int, k_max: int | None = None) -> AbcdFamily:
-    """Build all four families by their three-term recursions.
-
-    A_0 = B_0 = C_0 = D_0 = z^{n-1}; the recursions multiply by J(z), so the
-    members are Laurent polynomials in general.  C/D use the descending
-    recursion valid for 1 <= k <= n-1 and therefore stop at k = n.
+    U_n = V_n = z^{n-1}, and U_{n-1}, V_{n-1} are closed binomials; every
+    other member follows from the Legendre recurrence
+    (m+1) P_{m+1} + m P_{m-1} = (2m+1) x P_m with x -> J(z), run up to
+    m = 2n and down to m = 0.  In that recurrence the neighbour P_j carries
+    the factor max(m, j), whichever of the two neighbours is solved for.
+    The recursion multiplies by J(z), so members are Laurent polynomials.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if k_max is None:
-        k_max = n
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     base = LaurentPoly.monomial(n - 1)
-    a = [base, LaurentPoly.monomial(n - 2)]
-    b = [base, LaurentPoly.monomial(n)]
-    for k in range(1, k_max):
-        factor = Fraction(1, n + k + 1)
-        a.append(((2 * (n + k) + 1) * JOUKOWSKI * a[k] - (n + k) * a[k - 1]) * factor)
-        b.append(((2 * (n + k) + 1) * JOUKOWSKI * b[k] - (n + k) * b[k - 1]) * factor)
-    c = [base, LaurentPoly.from_pairs({n: Fraction(2 * n + 1, 2 * n), n - 2: Fraction(-1, 2 * n)})]
-    d = [base, LaurentPoly.from_pairs({n - 2: Fraction(2 * n + 1, 2 * n), n: Fraction(-1, 2 * n)})]
-    for k in range(1, n):
-        factor = Fraction(1, n - k)
-        c.append(((2 * (n - k) + 1) * JOUKOWSKI * c[k] - (n - k + 1) * c[k - 1]) * factor)
-        d.append(((2 * (n - k) + 1) * JOUKOWSKI * d[k] - (n - k + 1) * d[k - 1]) * factor)
-    return AbcdFamily(n=n, a=tuple(a), b=tuple(b), c=tuple(c), d=tuple(d))
+    top, low = Fraction(2 * n + 1, 2 * n), Fraction(-1, 2 * n)
+    u = {n: base, n - 1: LaurentPoly.from_pairs({n: top, n - 2: low})}
+    v = {n: base, n - 1: LaurentPoly.from_pairs({n - 2: top, n: low})}
+    steps = [(m, m + 1) for m in range(n, 2 * n)] + [(m, m - 1) for m in range(n - 1, 0, -1)]
+    for m, new in steps:
+        old = 2 * m - new
+        factor = Fraction(1, max(m, new))
+        for member in (u, v):
+            member[new] = ((2 * m + 1) * JOUKOWSKI * member[m] - max(m, old) * member[old]) * factor
+    return tuple(u[m] for m in range(2 * n + 1)), tuple(v[m] for m in range(2 * n + 1))
 
 
-@lru_cache(maxsize=None)
-def _family(n: int) -> AbcdFamily:
-    return build_abcd(n)
-
-
-def _pfd_target(n: int, m: int) -> LaurentPoly:
-    # 2(n+1) z^{2n-1} P_m(J(z))
-    return (2 * (n + 1)) * legendre_on_circle(m).shift(2 * n - 1)
+def _check_split(identity: str, n: int, m: int, k: int) -> Certificate:
+    # 2(n+1) z^{2n-1} P_m(J(z)) = U_m G_n + V_m F_n
+    if not 0 <= k <= n:
+        raise ValueError("k must satisfy 0 <= k <= n")
+    u, v = build_abcd(n)
+    pair = factor_pair(n)
+    target = (2 * (n + 1)) * legendre_on_circle(m).shift(2 * n - 1)
+    residual = target - (u[m] * pair.g + v[m] * pair.f)
+    return residual_certificate(identity, n, residual, k=k)
 
 
 @certifies("pfd-plus")
 def check_pfd_plus(n: int, k: int) -> Certificate:
-    """Certify 2(n+1) z^{2n-1} P_{n+k}(J) = A_k G_n + B_k F_n exactly."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    fam = build_abcd(n, k_max=max(k, 1)) if k > n else _family(n)
-    pair = factor_pair(n)
-    residual = _pfd_target(n, n + k) - (fam.a[k] * pair.g + fam.b[k] * pair.f)
-    return residual_certificate("pfd-plus", n, residual, k=k)
+    """Certify 2(n+1) z^{2n-1} P_{n+k}(J) = U_{n+k} G_n + V_{n+k} F_n (A_k, B_k), 0 <= k <= n."""
+    return _check_split("pfd-plus", n, n + k, k)
 
 
 @certifies("pfd-minus")
 def check_pfd_minus(n: int, k: int) -> Certificate:
-    """Certify 2(n+1) z^{2n-1} P_{n-k}(J) = C_k G_n + D_k F_n exactly."""
-    if not 0 <= k <= n:
-        raise ValueError("k must satisfy 0 <= k <= n")
-    fam = _family(n)
-    pair = factor_pair(n)
-    residual = _pfd_target(n, n - k) - (fam.c[k] * pair.g + fam.d[k] * pair.f)
-    return residual_certificate("pfd-minus", n, residual, k=k)
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    """Computed exponent supports (min_exp, degree) per family member."""
-
-    n: int
-    a: tuple[tuple[int, int], ...]
-    b: tuple[tuple[int, int], ...]
-    c: tuple[tuple[int, int], ...]
-    d: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a": [list(s) for s in self.a],
-            "b": [list(s) for s in self.b],
-            "c": [list(s) for s in self.c],
-            "d": [list(s) for s in self.d],
-        }
-
-
-def laurent_support_report(n: int) -> SupportReport:
-    """Record the exact supports of every family member up to index n.
-
-    Supports are computed from the recursion output, never assumed from
-    closed-form bounds.
-    """
-    fam = _family(n)
-    def spans(ps):
-        return tuple((p.min_exp, p.degree) for p in ps)
-    return SupportReport(n=n, a=spans(fam.a), b=spans(fam.b), c=spans(fam.c), d=spans(fam.d))
+    """Certify 2(n+1) z^{2n-1} P_{n-k}(J) = U_{n-k} G_n + V_{n-k} F_n (C_k, D_k), 0 <= k <= n."""
+    return _check_split("pfd-minus", n, n - k, k)
 
 
 def check_support(n: int) -> Certificate:
     """Certify the support facts the moment computation relies on.
 
-    B_k stays a genuine polynomial for every k <= n, A_n carries a z^{-1}
-    term, and C_n, D_n have minimal exponent exactly -1.
+    Every U_m and V_m with 1 <= m <= 2n-1 and V_{2n} are genuine
+    polynomials, U_{2n} carries a z^{-1} term, and U_0, V_0 have minimal
+    exponent exactly -1.
     """
-    fam = _family(n)
-    problems = []
-    for k, p in enumerate(fam.b):
-        if p.min_exp < 0:
-            problems.append(f"B_{k} has negative exponents")
-    if fam.a[n].coeff(-1) == 0:
-        problems.append("A_n lacks its z^-1 term")
-    if fam.c[n].min_exp != -1:
-        problems.append("C_n min exponent != -1")
-    if fam.d[n].min_exp != -1:
-        problems.append("D_n min exponent != -1")
-    for k in range(n):
-        for name, p in (("A", fam.a[k]), ("C", fam.c[k]), ("D", fam.d[k])):
-            if k >= 1 and p.min_exp < 0:
-                problems.append(f"{name}_{k} has negative exponents")
+    u, v = build_abcd(n)
+    members = [("U", m, u[m]) for m in range(1, 2 * n)] + [("V", m, v[m]) for m in range(1, 2 * n + 1)]
+    problems = [f"{name}_{m} has negative exponents" for name, m, p in members if p.min_exp < 0]
+    if u[2 * n].coeff(-1) == 0:
+        problems.append(f"U_{2 * n} lacks its z^-1 term")
+    for name, p in (("U", u[0]), ("V", v[0])):
+        if p.min_exp != -1:
+            problems.append(f"{name}_0 min exponent != -1")
     return condition_certificate("pfd-support", n, not problems, detail="; ".join(problems))
 
 
 @certifies("pfd-leading-coefficient")
 def leading_coefficient_checks(n: int) -> Certificate:
-    """Certify the two coefficient identities behind the k = 0 moment.
+    """Certify the two coefficient identities behind the m = 0 moment.
 
-    (i) the z^{2n-1} coefficient of C_n equals the leading coefficient of
-    F_n, and (ii) the z^{-1} coefficient of D_n equals G_n(0).  B_n has no
-    z^{-1} term at all, so the family carrying (ii) is D, adjudicated here
-    exactly; its value is recorded against B as well.
+    (i) the z^{2n-1} coefficient of U_0 equals the leading coefficient of
+    F_n, and (ii) the z^{-1} coefficient of V_0 equals G_n(0).  V_{2n} has
+    no z^{-1} term at all, which is checked as well.
     """
-    fam = _family(n)
+    u, v = build_abcd(n)
     pair = factor_pair(n)
     lc_f = pair.f.coeff(2 * n)
     problems = []
-    if fam.c[n].coeff(2 * n - 1) != lc_f:
-        problems.append(f"top coefficient of C_n is {fam.c[n].coeff(2 * n - 1)}, expected {lc_f}")
-    if fam.d[n].coeff(-1) != pair.g.coeff(0):
-        problems.append(f"z^-1 coefficient of D_n is {fam.d[n].coeff(-1)}, expected {pair.g.coeff(0)}")
-    if fam.b[n].coeff(-1) != 0:
-        problems.append("B_n unexpectedly carries a z^-1 term")
+    if u[0].coeff(2 * n - 1) != lc_f:
+        problems.append(f"top coefficient of U_0 is {u[0].coeff(2 * n - 1)}, expected {lc_f}")
+    if v[0].coeff(-1) != pair.g.coeff(0):
+        problems.append(f"z^-1 coefficient of V_0 is {v[0].coeff(-1)}, expected {pair.g.coeff(0)}")
+    if v[2 * n].coeff(-1) != 0:
+        problems.append(f"V_{2 * n} unexpectedly carries a z^-1 term")
     return condition_certificate("pfd-leading-coefficient", n, not problems, detail="; ".join(problems))
 
 
@@ -183,7 +121,7 @@ def _split_residues(u: LaurentPoly, v: LaurentPoly, pair: FactorPair) -> Fractio
     """Exact value of (1/2 pi i) contour integral of u/F_n + v/G_n over the unit circle.
 
     u and v may carry a z^{-1} term; deeper negative exponents never occur
-    for the families used here and are rejected.  The reduction uses only
+    for the family used here and are rejected.  The reduction uses only
     coefficient extraction:
 
       - polynomial p over F_n: sum of residues = [z^{2n-1}] p / lc(F_n),
@@ -220,13 +158,8 @@ def moment_exact(n: int, k: int) -> Fraction:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= 2 * n:
         raise ValueError("k must satisfy 0 <= k <= 2n")
-    fam = _family(n)
-    pair = factor_pair(n)
-    if k >= n:
-        u, v = fam.a[k - n], fam.b[k - n]
-    else:
-        u, v = fam.c[n - k], fam.d[n - k]
-    return _split_residues(u, v, pair)
+    u, v = build_abcd(n)
+    return _split_residues(u[k], v[k], factor_pair(n))
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .christoffel import _pstar_kn
-from .factorization import FactorPair
+from .factorization import fn_float_coeffs
 from .legendre import legendre_all
 
 BASE_POINTS = 64
@@ -146,12 +146,14 @@ def contour_moment_numeric(n: int, k: int) -> complex:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= 2 * n:
         raise ValueError("k must satisfy 0 <= k <= 2n")
-    pair = FactorPair.build(n)
+    coeffs = fn_float_coeffs(n)
 
     def integrand(z):
         x = 0.5 * (z + 1.0 / z)
         pk = legendre_all(k, x)[k]
-        return 2 * (n + 1) * z ** (2 * n - 1) * pk / (pair.f(z) * pair.g(z))
+        # F_n and its reversal G_n are polynomials in z^2
+        fg = np.polyval(coeffs[::-1], z * z) * np.polyval(coeffs, z * z)
+        return 2 * (n + 1) * z ** (2 * n - 1) * pk / fg
 
     return _refine(lambda p: unit_circle_integral(integrand, p), 1e-12)[0]
 

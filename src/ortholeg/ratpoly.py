@@ -156,18 +156,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z**k."""
         if self.is_zero:

@@ -1,11 +1,14 @@
-"""Arcsine-distributed sampling and least squares in the weighted basis.
+"""Arcsine-distributed sampling and Christoffel-weighted least squares.
 
 Samples are drawn from the arcsine density 1/(pi sqrt(1-x^2)) by the inverse
-CDF map x = cos(pi u), and an unknown function is fit by unweighted least
-squares in the basis Q_j = P_j* / sqrt(K_n).  Because the Q_j are orthonormal
-under the arcsine law, the expected empirical Gram matrix is the identity,
-and every design-matrix row has squared norm exactly n + 1 -- the optimal
-stability factor for this sampling strategy.
+CDF map x = cos(pi u), and an unknown function f is fit by the polynomial
+p = sum_j c_j P_j* of degree n that minimizes the weighted residual
+sum_m (p(x_m) - f(x_m))^2 / K_n(x_m).  Divided by sqrt(K_n), that is
+unweighted least squares in the basis Q_j = P_j* / sqrt(K_n) against the
+scaled values f / sqrt(K_n).  Because the Q_j are orthonormal under the
+arcsine law, the expected empirical Gram matrix is the identity, and every
+design-matrix row has squared norm exactly n + 1 -- the optimal stability
+factor for this sampling strategy.
 
 Sampling uses a seeded counter-based generator (Philox) so batches are
 bit-reproducible from (seed, count) alone.
@@ -13,12 +16,12 @@ bit-reproducible from (seed, count) alone.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .christoffel import q_basis_all
+from .christoffel import _pstar_kn, q_basis_all
 
 GENERATOR_NAME = "philox4x64"
 
@@ -45,9 +48,6 @@ class SampleBatch:
             "count": self.count,
             "points": [float(x) for x in self.points],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def arcsine_from_uniform(u):
@@ -76,7 +76,7 @@ def empirical_gram(n: int, batch: SampleBatch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Least-squares output in the Q basis, with Gram diagnostics."""
+    """A fitted polynomial as coefficients in the P* basis, with Gram diagnostics."""
 
     n: int
     coefficients: np.ndarray
@@ -100,16 +100,15 @@ class FitReport:
             "seed": self.seed,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def fit_least_squares(n: int, batch: SampleBatch, values) -> FitReport:
-    """Fit values ~ sum_j c_j Q_j(x) by an orthogonalization-based solve.
+    """Fit values ~ sum_j c_j P_j*(x) by Christoffel-weighted least squares.
 
-    Uses the SVD-backed least-squares solver rather than normal equations to
-    avoid squaring the condition number.  Oversampling is required: fewer
-    samples than n + 1 coefficients, or a rank-deficient design, is an error.
+    Solves D c ~ values / sqrt(K_n) with the design matrix D of the Q basis,
+    by the SVD-backed least-squares solver rather than normal equations to
+    avoid squaring the condition number; ``residual_rms`` is the RMS of that
+    weighted residual.  Oversampling is required: fewer samples than n + 1
+    coefficients, or a rank-deficient design, is an error.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (batch.count,):
@@ -117,10 +116,12 @@ def fit_least_squares(n: int, batch: SampleBatch, values) -> FitReport:
     if batch.count < n + 1:
         raise ValueError("need at least n + 1 samples to fit n + 1 coefficients")
     d = design_matrix(n, batch)
-    coeffs, _, rank, sv = np.linalg.lstsq(d, values, rcond=None)
+    # 1/sqrt(K_n) = Q_0 / P_0*, and P_0* = 1/sqrt(2)
+    scaled = values * d[:, 0] * math.sqrt(2)
+    coeffs, _, rank, sv = np.linalg.lstsq(d, scaled, rcond=None)
     if rank < n + 1:
         raise ValueError("design matrix is rank-deficient")
-    residual_rms = float(np.linalg.norm(d @ coeffs - values) / np.sqrt(batch.count))
+    residual_rms = float(np.linalg.norm(d @ coeffs - scaled) / np.sqrt(batch.count))
     gram = (d.T @ d) / batch.count
     deviation = float(np.linalg.norm(gram - np.eye(n + 1), 2))
     return FitReport(
@@ -135,9 +136,11 @@ def fit_least_squares(n: int, batch: SampleBatch, values) -> FitReport:
 
 
 def predict(report: FitReport, x):
-    """Evaluate the fitted combination sum_j c_j Q_j(x) on [-1, 1]."""
-    q = q_basis_all(report.n, x)
-    result = np.tensordot(report.coefficients, q, axes=(0, 0))
+    """Evaluate the fitted polynomial sum_j c_j P_j*(x) on [-1, 1]."""
+    xs = np.asarray(x, dtype=float)
+    if np.any(np.abs(xs) > 1):
+        raise ValueError("the fit is defined on [-1, 1]")
+    result = np.tensordot(report.coefficients, _pstar_kn(report.n, xs)[0], axes=(0, 0))
     if np.ndim(x) == 0:
         return float(result)
     return result

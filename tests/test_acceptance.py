@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from ortholeg.christoffel import q_basis_all
+from ortholeg.christoffel import _pstar_kn, q_basis_all
 from ortholeg.cli import main as cli_main
 from ortholeg.factorization import (
     fn_closed_coeffs,
@@ -20,7 +20,7 @@ from ortholeg.factorization import (
 from ortholeg.ledger import identity_ledger
 from ortholeg.partial_fractions import moments_table, orthogonality_exact
 from ortholeg.quadrature_verify import contour_moment_numeric, orthogonality_numeric
-from ortholeg.sampling_ls import design_matrix, empirical_gram, fit_least_squares, sample_arcsine
+from ortholeg.sampling_ls import empirical_gram, fit_least_squares, sample_arcsine
 
 
 def _report(criterion: str, ok: bool) -> None:
@@ -136,9 +136,9 @@ def test_criterion_6_sampling_application():
         and 1.0 <= devs[1] / devs[2] <= 4.0
     )
     batch = sample_arcsine(2000, 0)
-    d = design_matrix(n, batch)
+    pstar = _pstar_kn(n, batch.points)[0]
     target = np.linspace(-1.0, 1.0, n + 1)
-    report = fit_least_squares(n, batch, d @ target)
+    report = fit_least_squares(n, batch, target @ pstar)
     recovery_ok = np.max(np.abs(report.coefficients - target)) < 1e-10
     _report("6 sampling application scaling and recovery", scaling_ok and recovery_ok)
 

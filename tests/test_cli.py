@@ -128,6 +128,40 @@ def test_output_into_missing_directory_exits_two(tmp_path, capsys, monkeypatch):
     assert main(["verify-identities", "--n-max", "2", "--output", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-identities", "--n-max", "51"),
+        ("factor", "--n", "251"),
+        ("moments", "--n", "251"),
+    ],
+)
+def test_exact_run_over_cap_exits_two(argv, capsys, monkeypatch):
+    def must_not_run(args):
+        raise AssertionError("the command ran past its cap")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], must_not_run)
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(int(argv[-1]) - 1) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-identities", "--n-max", "2"),
+        ("factor", "--n", "2"),
+        ("roots", "--n", "2"),
+        ("moments", "--n", "2"),
+    ],
+)
+def test_unrendered_csv_format_exits_two(argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--format", "csv"])
+    assert info.value.code == 2
+
+
 @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256))
 def test_exact_artifacts_match_pinned_digests(tmp_path, argv):
     code, text = run(tmp_path, *argv)

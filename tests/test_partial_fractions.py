@@ -1,4 +1,4 @@
-"""Splitting families, partial-fraction identities, exact moments and orthogonality."""
+"""Splitting family, partial-fraction identities, exact moments and orthogonality."""
 
 from fractions import Fraction as F
 
@@ -12,7 +12,6 @@ from ortholeg.partial_fractions import (
     check_pfd_minus,
     check_pfd_plus,
     check_support,
-    laurent_support_report,
     leading_coefficient_checks,
     moment_exact,
     moments_table,
@@ -29,27 +28,28 @@ def lp(pairs):
 
 class TestBuild:
     def test_degree_one_members(self):
-        fam = build_abcd(1)
-        assert fam.a[1] == lp({-1: 1})
-        assert fam.b[1] == lp({1: 1})
-        assert fam.c[1] == lp({1: F(3, 2), -1: F(-1, 2)})
-        assert fam.d[1] == lp({-1: F(3, 2), 1: F(-1, 2)})
+        # A_1, B_1, C_1, D_1 of the paper are U_2, V_2, U_0, V_0
+        u, v = build_abcd(1)
+        assert u[2] == lp({-1: 1})
+        assert v[2] == lp({1: 1})
+        assert u[0] == lp({1: F(3, 2), -1: F(-1, 2)})
+        assert v[0] == lp({-1: F(3, 2), 1: F(-1, 2)})
 
     def test_degree_two_first_member(self):
-        fam = build_abcd(2)
-        assert fam.c[1] == lp({2: F(5, 4), 0: F(-1, 4)})
+        u, _ = build_abcd(2)
+        assert u[1] == lp({2: F(5, 4), 0: F(-1, 4)})
 
     def test_common_base(self):
         for n in (1, 2, 5):
-            fam = build_abcd(n)
-            assert fam.a[0] == fam.b[0] == fam.c[0] == fam.d[0] == lp({n - 1: 1})
+            u, v = build_abcd(n)
+            assert u[n] == v[n] == lp({n - 1: 1})
 
 
 class TestPfdPlus:
     def test_degree_one_first_step(self):
         # A_1 G_1 + B_1 F_1 = (3z^3 + 2z + 3/z)/2 = 4z P_2(J(z))
-        fam = build_abcd(1)
-        combo = fam.a[1] * FactorPair.build(1).g + fam.b[1] * fn_from_definition(1)
+        u, v = build_abcd(1)
+        combo = u[2] * FactorPair.build(1).g + v[2] * fn_from_definition(1)
         assert combo == lp({3: F(3, 2), 1: 1, -1: F(3, 2)})
         assert combo == 4 * legendre_on_circle(2).shift(1)
 
@@ -67,14 +67,15 @@ class TestPfdPlus:
                 assert check_pfd_plus(n, k).passed
 
     def test_beyond_n(self):
-        # the ascending recursion keeps working past k = n
-        assert check_pfd_plus(3, 5).passed
+        # the family stops at P_{2n}, so k > n is out of range
+        with pytest.raises(ValueError):
+            check_pfd_plus(3, 4)
 
 
 class TestPfdMinus:
     def test_degree_one_reaches_constant(self):
-        fam = build_abcd(1)
-        combo = fam.c[1] * FactorPair.build(1).g + fam.d[1] * fn_from_definition(1)
+        u, v = build_abcd(1)
+        combo = u[0] * FactorPair.build(1).g + v[0] * fn_from_definition(1)
         assert combo == lp({1: 4})
 
     def test_degree_two_bottom(self):
@@ -92,20 +93,20 @@ class TestPfdMinus:
 
 class TestSupport:
     def test_b2_support(self):
-        report = laurent_support_report(2)
-        lo, hi = report.b[2]
-        assert lo >= 1 and hi <= 3
+        # B_2 of degree 2 is V_4
+        _, v = build_abcd(2)
+        assert v[4].min_exp >= 1 and v[4].degree <= 3
 
     def test_a_n_has_inverse_term(self):
         for n in range(1, 16):
-            fam = build_abcd(n)
-            assert fam.a[n].coeff(-1) != 0
+            u, _ = build_abcd(n)
+            assert u[2 * n].coeff(-1) != 0
 
     def test_c_n_span(self):
         for n in range(1, 16):
-            report = laurent_support_report(n)
-            assert report.c[n] == (-1, 2 * n - 1)
-            assert report.d[n][0] == -1
+            u, v = build_abcd(n)
+            assert (u[0].min_exp, u[0].degree) == (-1, 2 * n - 1)
+            assert v[0].min_exp == -1
 
     def test_certificates(self):
         for n in range(1, 21):
@@ -114,10 +115,10 @@ class TestSupport:
 
 class TestLeadingCoefficients:
     def test_degree_one_values(self):
-        fam = build_abcd(1)
+        u, v = build_abcd(1)
         assert fn_from_definition(1).coeff(2) == F(3, 2)
-        assert fam.c[1].coeff(1) == F(3, 2)
-        assert fam.d[1].coeff(-1) == F(3, 2) == FactorPair.build(1).g.coeff(0)
+        assert u[0].coeff(1) == F(3, 2)
+        assert v[0].coeff(-1) == F(3, 2) == FactorPair.build(1).g.coeff(0)
 
     def test_to_twenty(self):
         for n in range(1, 21):

@@ -122,13 +122,6 @@ def test_substitute_joukowski():
     assert substitute(x2, JOUKOWSKI) == lp({2: F(1, 4), 0: F(1, 2), -2: F(1, 4)})
 
 
-def test_power():
-    p = lp({-1: 1, 1: 1})
-    assert p**0 == LaurentPoly.one()
-    assert p**1 == p
-    assert p**3 == p * p * p
-
-
 def test_monomial_coefficients_rejects_laurent():
     with pytest.raises(ValueError):
         lp({-1: 1, 2: 3}).monomial_coefficients()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ortholeg.christoffel import _pstar_kn
 from ortholeg.sampling_ls import (
     SampleBatch,
     arcsine_from_uniform,
@@ -18,6 +19,11 @@ from ortholeg.sampling_ls import (
 )
 
 SEED = 42
+
+
+def pstar(n, batch):
+    """Matrix with entry (m, j) = P_j*(x_m), the basis the fit returns."""
+    return _pstar_kn(n, batch.points)[0].T
 
 
 class TestArcsineTransform:
@@ -116,8 +122,7 @@ class TestEmpiricalGram:
 class TestFit:
     def test_recovers_single_basis_function(self):
         batch = sample_arcsine(300, SEED)
-        d = design_matrix(4, batch)
-        report = fit_least_squares(4, batch, d[:, 2])
+        report = fit_least_squares(4, batch, pstar(4, batch)[:, 2])
         expected = np.zeros(5)
         expected[2] = 1.0
         assert np.max(np.abs(report.coefficients - expected)) < 1e-10
@@ -126,9 +131,8 @@ class TestFit:
     def test_recovers_known_combination(self):
         n = 6
         batch = sample_arcsine(400, SEED)
-        d = design_matrix(n, batch)
         target_coeffs = np.arange(1.0, n + 2)
-        report = fit_least_squares(n, batch, d @ target_coeffs)
+        report = fit_least_squares(n, batch, pstar(n, batch) @ target_coeffs)
         assert np.max(np.abs(report.coefficients - target_coeffs)) < 1e-10
 
     def test_smooth_target_residual_decreases(self):
@@ -136,6 +140,14 @@ class TestFit:
         values = np.exp(batch.points)
         residuals = [fit_least_squares(n, batch, values).residual_rms for n in (2, 4, 6, 8, 10)]
         assert all(a > b for a, b in zip(residuals, residuals[1:]))
+
+    def test_smooth_target_converges(self):
+        # a weighted polynomial fit of exp at degree 20 is accurate to roundoff
+        n = 20
+        batch = sample_arcsine(20 * (n + 1), 7)
+        report = fit_least_squares(n, batch, np.exp(batch.points))
+        grid = np.linspace(-1.0, 1.0, 401)
+        assert np.max(np.abs(predict(report, grid) - np.exp(grid))) < 1e-12
 
     def test_report_fields(self):
         batch = sample_arcsine(200, 3)
@@ -172,19 +184,15 @@ class TestPredict:
         assert predict(report, 0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_first_basis_vector(self):
-        from ortholeg.christoffel import q_basis_eval
-
         batch = sample_arcsine(100, SEED)
-        d = design_matrix(2, batch)
-        report = fit_least_squares(2, batch, d[:, 0])
+        report = fit_least_squares(2, batch, pstar(2, batch)[:, 0])
         for x in (-0.8, 0.1, 0.99):
-            assert predict(report, x) == pytest.approx(q_basis_eval(2, 0, x), abs=1e-10)
+            assert predict(report, x) == pytest.approx(math.sqrt(0.5), abs=1e-10)
 
     def test_round_trip(self):
         n = 5
         batch = sample_arcsine(400, 13)
-        d = design_matrix(n, batch)
-        values = d @ np.linspace(1.0, 2.0, n + 1)
+        values = pstar(n, batch) @ np.linspace(1.0, 2.0, n + 1)
         report = fit_least_squares(n, batch, values)
         rebuilt = predict(report, batch.points)
         assert np.max(np.abs(rebuilt - values)) < 1e-9
@@ -198,10 +206,8 @@ class TestPredict:
 
 class TestSerialization:
     def test_batch_json_round_trip(self):
-        import json
-
         batch = sample_arcsine(4, 9)
-        payload = json.loads(batch.to_json_str())
+        payload = batch.to_json()
         assert payload["seed"] == 9
         assert payload["count"] == 4
         assert payload["generator_name"] == "philox4x64"
