@@ -51,7 +51,7 @@ def residual_certificate(
         n=n,
         k=k,
         status="fail",
-        residual_terms=len(residual.coeffs),
+        residual_terms=sum(1 for _ in residual.terms()),
         detail=detail or f"nonzero residual {residual!r}",
     )
 

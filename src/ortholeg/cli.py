@@ -23,10 +23,15 @@ from .ledger import identity_ledger, ledger_lines
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SEED = 0
-# Caps on the exact runs, whose cost grows about as n^5 for the ledger; each
-# capped run takes about a minute or less.
+# Caps on the exact runs, whose cost grows about as n^5 for the ledger, and on
+# the numeric and sampling runs, whose memory grows with the quadrature grid,
+# the sample and the count x (n+1) design matrix of gram and fit.  Each capped
+# run takes about a minute or less and under about 1 GB.
 MAX_N_MAX = 50
 MAX_N_EXACT = 250
+MAX_N_NUMERIC = 800
+MAX_COUNT = 10**6
+MAX_DESIGN = 2 * 10**7
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +130,7 @@ def _cmd_verify_theorem(args) -> tuple[str, bool]:
 
 
 def _cmd_factor(args) -> tuple[str, bool]:
-    pair = factorization.FactorPair.build(args.n)
+    pair = factorization.factor_pair(args.n)
     certs = [
         factorization.check_fn_constructions(args.n),
         factorization.check_reversal(args.n),
@@ -139,7 +144,7 @@ def _cmd_factor(args) -> tuple[str, bool]:
         "certificates": [c.to_json() for c in certs],
     }
     if args.format == "text":
-        return f"F_{args.n} has {len(pair.f.coeffs)} terms; checks {'pass' if ok else 'fail'}\n", ok
+        return f"F_{args.n} has {len(payload['f'])} terms; checks {'pass' if ok else 'fail'}\n", ok
     return _json_text(payload), ok
 
 
@@ -235,14 +240,17 @@ def _validate(args) -> None:
         raise ValueError("--n must be non-negative")
     if args.command in ("roots", "moments") and n is not None and n < 1:
         raise ValueError("--n must be at least 1 for this command")
-    if args.command in ("factor", "moments") and n > MAX_N_EXACT:
-        raise ValueError(f"--n must be at most {MAX_N_EXACT} for this command")
+    n_cap = MAX_N_EXACT if args.command in ("factor", "moments") else MAX_N_NUMERIC
+    if n is not None and n > n_cap:
+        raise ValueError(f"--n must be at most {n_cap} for this command")
     n_max = getattr(args, "n_max", None)
     if n_max is not None and not 1 <= n_max <= MAX_N_MAX:
         raise ValueError(f"--n-max must be between 1 and {MAX_N_MAX}")
     count = getattr(args, "count", None)
-    if count is not None and count < 1:
-        raise ValueError("--count must be at least 1")
+    if count is not None and not 1 <= count <= MAX_COUNT:
+        raise ValueError(f"--count must be between 1 and {MAX_COUNT}")
+    if n is not None and count is not None and count * (n + 1) > MAX_DESIGN:
+        raise ValueError(f"--count times (--n + 1) must be at most {MAX_DESIGN}")
     if args.output is not None:
         if os.path.isdir(args.output):
             raise ValueError(f"--output is a directory: {args.output}")

@@ -118,9 +118,11 @@ def factor_pair(n: int) -> FactorPair:
 
 
 def check_fn_constructions(n: int) -> Certificate:
-    """Certify derivative definition == closed coefficients == hypergeometric form."""
-    f = fn_from_definition(n)
-    residual = (f - fn_closed_coeffs(n)) + (f - fn_hypergeometric(n))
+    """Certify derivative definition == closed coefficients.
+
+    The hypergeometric form has its own certificate, ``hypergeometric_check``.
+    """
+    residual = fn_from_definition(n) - fn_closed_coeffs(n)
     return residual_certificate("factor-closed-coefficients", n, residual)
 
 
@@ -170,31 +172,20 @@ def check_fn_gn_alt(n: int) -> Certificate:
       (z^2-1) F_n = z^n {((2n+1)z^2 - 1) P_n(J) - 2nz P_{n-1}(J)}
       (z^2-1) G_n = z^n {(z^2 - (2n+1)) P_n(J) + 2nz P_{n-1}(J)}
 
-    A floating spot check at z = 0.7 + 0.2i guards the algebra independently.
+    Each identity has its own residual; a failure reports the first nonzero one.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     pair = factor_pair(n)
-    f, g = pair.f, pair.g
     ln = legendre_on_circle(n)
     ln1 = legendre_on_circle(n - 1)
     x2m1 = LaurentPoly.from_pairs({2: 1, 0: -1})
     z = LaurentPoly.monomial(1)
     rhs_f = (LaurentPoly.from_pairs({2: 2 * n + 1, 0: -1}) * ln - 2 * n * z * ln1).shift(n)
     rhs_g = (LaurentPoly.from_pairs({2: 1, 0: -(2 * n + 1)}) * ln + 2 * n * z * ln1).shift(n)
-    residual = (x2m1 * f - rhs_f) + (x2m1 * g - rhs_g)
-    cert = residual_certificate("factor-recurrence-form", n, residual)
-    if not cert.passed:
-        return cert
-    z0 = 0.7 + 0.2j
-    lhs = (z0 * z0 - 1) * f(z0)
-    rhs = rhs_f(z0)
-    if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
-        return Certificate(
-            "factor-recurrence-form", n, status="fail",
-            detail=f"floating spot check deviates by {abs(lhs - rhs):.3e}",
-        )
-    return cert
+    res_f = x2m1 * pair.f - rhs_f
+    res_g = x2m1 * pair.g - rhs_g
+    return residual_certificate("factor-recurrence-form", n, res_f or res_g)
 
 
 def check_ode(n: int) -> Certificate:

@@ -2,8 +2,8 @@
 
 Floating evaluation by the forward three-term recurrence, exact monomial
 coefficients, the exact Laurent form of P_n((z + 1/z)/2) on the unit circle,
-certified checks of the recurrence identities, and exact expansion of
-products of orthonormalized polynomials back into the Legendre basis.
+certified checks of the recurrence identities, and the exact Legendre-basis
+coefficients of products P_i P_j.
 
 Normalization is the classical one, P_n(1) = 1, with base cases P_0 = 1 and
 P_1 = x; the orthonormalized family is P_n* = sqrt((2n+1)/2) P_n.
@@ -12,7 +12,6 @@ P_1 = x; the orthonormalized family is P_n* = sqrt((2n+1)/2) P_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -131,60 +130,25 @@ def check_legendre_identities(n_max: int) -> list[Certificate]:
     return certs
 
 
-@dataclass(frozen=True)
-class LegendreExpansion:
-    """Expansion sum_k a_k P_k with a_k = coefficients[k] * sqrt(radicand).
-
-    Products of orthonormalized polynomials carry the irrational factor
-    sqrt((2i+1)(2j+1))/2; the square part is folded into the rational
-    coefficients so ``radicand`` is square-free (1 whenever i == j).
-    """
-
-    coefficients: tuple[Fraction, ...]
-    radicand: int
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient_float(self, k: int) -> float:
-        if not 0 <= k < len(self.coefficients):
-            return 0.0
-        return float(self.coefficients[k]) * math.sqrt(self.radicand)
-
-
-def _split_square(m: int) -> tuple[int, int]:
-    """Write m = s**2 * r with r square-free; returns (s, r)."""
-    s, d = 1, 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
-            s *= d
-        d += 1
-    return s, m
-
-
 def _adams(r: int) -> Fraction:
     # A_r = (1/2)_r / r! = C(2r, r) / 4^r
     return Fraction(math.comb(2 * r, r), 4**r)
 
 
-def legendre_product_expand(i: int, j: int) -> LegendreExpansion:
-    """Exact Legendre-basis expansion of P_i* P_j*.
+def legendre_product_expand(i: int, j: int) -> tuple[Fraction, ...]:
+    """Exact Legendre-basis coefficients (a_0, ..., a_{i+j}) of P_i P_j.
 
-    P_i P_j is expanded by Adams' linearization formula (Adams 1878): with
-    t = i + j - r, the coefficient of P_{t-r} is
-    A_{i-r} A_r A_{j-r} / A_t * (2(t-r)+1)/(2t+1) for 0 <= r <= min(i, j).
-    The normalization sqrt((2i+1)(2j+1))/2 is carried as the radical part of
-    the result.  The constant coefficient a_0 equals delta_ij / 2 exactly.
+    Adams' linearization formula (Adams 1878): with t = i + j - r, the
+    coefficient of P_{t-r} is A_{i-r} A_r A_{j-r} / A_t * (2(t-r)+1)/(2t+1)
+    for 0 <= r <= min(i, j), and every other coefficient is zero.  The
+    constant coefficient a_0 equals delta_ij / (2i+1).
     """
     if i < 0 or j < 0:
         raise ValueError("degrees must be non-negative")
-    s, radicand = _split_square((2 * i + 1) * (2 * j + 1))
     coeffs = [Fraction(0)] * (i + j + 1)
     for r in range(min(i, j) + 1):
         t = i + j - r
         k = t - r
         coeffs[k] = (_adams(i - r) * _adams(r) * _adams(j - r) / _adams(t)
-                     * Fraction(2 * k + 1, 2 * t + 1) * s * _HALF)
-    return LegendreExpansion(coefficients=tuple(coeffs), radicand=radicand)
+                     * Fraction(2 * k + 1, 2 * t + 1))
+    return tuple(coeffs)

@@ -20,6 +20,7 @@ Kronecker delta.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -182,21 +183,24 @@ def check_moments(n: int) -> Certificate:
 def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
     """Exact arcsine/Christoffel inner product of P_i* and P_j*, which is delta_ij.
 
-    Expands P_i* P_j* in the Legendre basis and sums the exact moments; every
-    moment with k >= 1 vanishes, so only 2 a_0 survives and the carried
-    radical is always a perfect square (i == j) or multiplies zero (i != j).
+    Sums the Adams coefficients a_k of P_i P_j against the exact moments and
+    scales by sqrt((2i+1)(2j+1))/2.  Every moment with k >= 1 vanishes, so
+    only 2 a_0 = 2 delta_ij/(2i+1) survives: the sum is zero (i != j) or the
+    square root is exact (i == j).  A nonzero sum times an irrational root
+    raises ArithmeticError.
     """
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i, j <= n")
-    expansion = legendre_product_expand(i, j)
     moments = moments_table(n)
-    s = sum((r * moments[k] for k, r in enumerate(expansion.coefficients) if r),
+    s = sum((a * moments[k] for k, a in enumerate(legendre_product_expand(i, j)) if a),
             start=Fraction(0))
     if s == 0:
         return Fraction(0)
-    if expansion.radicand != 1:
+    square = (2 * i + 1) * (2 * j + 1)
+    root = math.isqrt(square)
+    if root * root != square:
         raise ArithmeticError("irrational inner product; expansion radical did not cancel")
-    return s
+    return s * Fraction(root, 2)
 
 
 @certifies("weighted-orthogonality")

@@ -146,14 +146,9 @@ def predict(report: FitReport, x):
     return result
 
 
-def samples_to_csv(batch: SampleBatch, values=None) -> str:
-    """CSV dump of a batch, with a value column when one is supplied."""
-    if values is None:
-        lines = ["x"] + [repr(float(x)) for x in batch.points]
-    else:
-        lines = ["x,value"] + [
-            f"{float(x)!r},{float(v)!r}" for x, v in zip(batch.points, values)
-        ]
+def samples_to_csv(batch: SampleBatch) -> str:
+    """CSV dump of a batch's points under an ``x`` header."""
+    lines = ["x"] + [repr(float(x)) for x in batch.points]
     return "\n".join(lines) + "\n"
 
 

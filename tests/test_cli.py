@@ -137,6 +137,28 @@ def test_output_into_missing_directory_exits_two(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_exact_run_over_cap_exits_two(argv, capsys, monkeypatch):
+    _assert_rejected_before_running(argv, str(int(argv[-1]) - 1), capsys, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("roots", "--n", "801"), "800"),
+        (("verify-theorem", "--n", "801"), "800"),
+        (("gram", "--n", "801", "--count", "10"), "800"),
+        (("fit", "--n", "801", "--count", "10"), "800"),
+        (("gram", "--n", "1", "--count", "1000001"), "1000000"),
+        (("sample", "--count", "1000001"), "1000000"),
+        (("fit", "--n", "1", "--count", "1000001"), "1000000"),
+        (("gram", "--n", "20", "--count", "952381"), "20000000"),
+        (("fit", "--n", "20", "--count", "952381"), "20000000"),
+    ],
+)
+def test_numeric_run_over_cap_exits_two(argv, cap, capsys, monkeypatch):
+    _assert_rejected_before_running(argv, cap, capsys, monkeypatch)
+
+
+def _assert_rejected_before_running(argv, cap, capsys, monkeypatch):
     def must_not_run(args):
         raise AssertionError("the command ran past its cap")
 
@@ -144,7 +166,12 @@ def test_exact_run_over_cap_exits_two(argv, capsys, monkeypatch):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(int(argv[-1]) - 1) in err
+    assert cap in err
+
+
+def test_factor_text_counts_nonzero_terms(capsys):
+    assert main(["factor", "--n", "6", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "F_6 has 7 terms; checks pass\n"
 
 
 @pytest.mark.parametrize(

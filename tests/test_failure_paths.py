@@ -1,10 +1,12 @@
 """Failure paths: a tampered exact construction yields failing certificates, not exceptions."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from ortholeg import christoffel, factorization, partial_fractions
+from ortholeg.certificates import residual_certificate
 from ortholeg.cli import main
 from ortholeg.ledger import identity_ledger
 from ortholeg.ratpoly import LaurentPoly
@@ -77,3 +79,49 @@ def test_tampered_christoffel_darboux_form_fails_kn_forms(monkeypatch, clean_cac
     cert = christoffel.check_kn_forms(2)
     assert cert.status == "fail" and cert.residual_terms > 0
     assert factorization.check_fejer_riesz(2).passed
+
+
+# -- cancelling tampers: each identity is certified on its own residual ------
+
+
+def test_opposite_tampers_of_closed_and_hypergeometric_forms_fail(monkeypatch):
+    d = LaurentPoly.monomial(2)
+    closed, hyper = factorization.fn_closed_coeffs, factorization.fn_hypergeometric
+    monkeypatch.setattr(factorization, "fn_closed_coeffs", lambda n: closed(n) + d)
+    monkeypatch.setattr(factorization, "fn_hypergeometric", lambda n: hyper(n) - d)
+    for n in (1, 3):
+        cert = factorization.check_fn_constructions(n)
+        assert cert.status == "fail" and cert.residual_terms == 1
+
+
+def test_opposite_tampers_of_f_and_g_fail_recurrence_form(monkeypatch):
+    d = LaurentPoly.monomial(2)
+    original = factorization.factor_pair
+    monkeypatch.setattr(
+        factorization, "factor_pair",
+        lambda n: factorization.FactorPair(n, original(n).f + d, original(n).g - d))
+    for n in (1, 3):
+        cert = factorization.check_fn_gn_alt(n)
+        # the F_n residual (z^2 - 1) z^2 is reported, not its cancelled sum with G_n's
+        assert cert.status == "fail" and cert.residual_terms == 2
+
+
+def test_residual_terms_count_nonzero_coefficients():
+    cert = residual_certificate("example", 1, LaurentPoly.from_pairs({4: 1, 0: -1}))
+    assert cert.status == "fail" and cert.residual_terms == 2
+
+
+# -- the irrational branch of the exact Gram entries ---------------------------
+
+
+def test_tampered_moments_reach_the_irrational_branch(monkeypatch):
+    n = 4
+    monkeypatch.setattr(partial_fractions, "moments_table",
+                        lambda n: (Fraction(2),) + (Fraction(1),) * (2 * n))
+    # P_0 P_4 = P_4, so the sum is the moment 1, scaled by sqrt(1 * 9)/2
+    assert partial_fractions.orthogonality_exact(n, 0, 4) == Fraction(3, 2)
+    # P_0 P_1 = P_1 and sqrt(1 * 3) is irrational
+    with pytest.raises(ArithmeticError):
+        partial_fractions.orthogonality_exact(n, 0, 1)
+    cert = partial_fractions.check_orthogonality(n)
+    assert cert.status == "fail" and "irrational" in cert.detail

@@ -139,51 +139,35 @@ class TestIdentities:
 
 class TestProductExpand:
     def test_equal_degree_one(self):
-        exp = legendre_product_expand(1, 1)
-        assert exp.radicand == 1
-        assert exp.coefficients == (F(1, 2), F(0), F(1))
+        assert legendre_product_expand(1, 1) == (F(1, 3), F(0), F(2, 3))
 
     def test_mixed_degrees(self):
-        exp = legendre_product_expand(0, 1)
-        assert exp.radicand == 3
-        assert exp.coefficients == (F(0), F(1, 2))
-        assert exp.coefficient_float(1) == pytest.approx(math.sqrt(3) / 2)
+        assert legendre_product_expand(0, 1) == (F(0), F(1))
 
     def test_constant(self):
-        exp = legendre_product_expand(0, 0)
-        assert exp.radicand == 1
-        assert exp.coefficients == (F(1, 2),)
+        assert legendre_product_expand(0, 0) == (F(1),)
 
     def test_constant_coefficient_is_half_delta(self):
+        # a_0 = delta_ij / (2i+1), so P_i* P_j* has constant coefficient delta_ij / 2
         for i in range(9):
             for j in range(9):
-                exp = legendre_product_expand(i, j)
-                if i == j:
-                    assert exp.radicand == 1
-                    assert 2 * exp.coefficients[0] == 1
-                else:
-                    assert exp.coefficients[0] == 0
+                a0 = legendre_product_expand(i, j)[0]
+                assert a0 == (F(1, 2 * i + 1) if i == j else 0)
+                assert a0 * F(2 * i + 1, 2) == (F(1, 2) if i == j else 0)
 
     def test_expansion_reproduces_exact_monomial_product(self):
-        # P_i P_j = (2 / s) sum_k c_k P_k, where sqrt((2i+1)(2j+1)) = s sqrt(radicand)
         for i in range(13):
             for j in range(13):
-                exp = legendre_product_expand(i, j)
-                s = math.isqrt((2 * i + 1) * (2 * j + 1) // exp.radicand)
                 rebuilt = LaurentPoly.zero()
-                for k, c in enumerate(exp.coefficients):
-                    rebuilt = rebuilt + F(2, s) * c * legendre_exact(k)
+                for k, a in enumerate(legendre_product_expand(i, j)):
+                    rebuilt = rebuilt + a * legendre_exact(k)
                 assert rebuilt == legendre_exact(i) * legendre_exact(j)
 
     def test_expansion_reproduces_product_numerically(self):
         xs = RNG.uniform(-1, 1, size=20)
         for i, j in ((2, 3), (4, 4), (0, 5), (6, 1)):
-            exp = legendre_product_expand(i, j)
-            direct = np.array([
-                legendre_normalized_eval(i, x) * legendre_normalized_eval(j, x) for x in xs
-            ])
+            direct = legendre_eval(i, xs)[0] * legendre_eval(j, xs)[0]
             rebuilt = np.zeros_like(direct)
-            for k in range(exp.max_degree + 1):
-                values, _ = legendre_eval(k, xs)
-                rebuilt = rebuilt + exp.coefficient_float(k) * values
+            for k, a in enumerate(legendre_product_expand(i, j)):
+                rebuilt = rebuilt + float(a) * legendre_eval(k, xs)[0]
             assert np.max(np.abs(direct - rebuilt)) < 1e-12

@@ -216,5 +216,4 @@ class TestSerialization:
     def test_csv_headers(self):
         batch = sample_arcsine(3, 1)
         assert samples_to_csv(batch).startswith("x\n")
-        assert samples_to_csv(batch, np.zeros(3)).startswith("x,value\n")
         assert predictions_to_csv([0.0], [1.0]).startswith("x,prediction\n")
