@@ -62,18 +62,22 @@ def legendre_normalized_eval(n: int, x):
     return math.sqrt((2 * n + 1) / 2) * value
 
 
+def _next_degree(cached, x: LaurentPoly, n: int) -> LaurentPoly:
+    # n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}; the lower degrees are filled
+    # bottom-up first, so a cold call recurses one level instead of n
+    for m in range(2, n - 1):
+        cached(m)
+    return ((2 * n - 1) * x * cached(n - 1) - (n - 1) * cached(n - 2)) * Fraction(1, n)
+
+
 @lru_cache(maxsize=None)
 def legendre_exact(n: int) -> LaurentPoly:
     """Exact monomial-basis coefficients of P_n, as a polynomial in x."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return _X
-    prev = legendre_exact(n - 1)
-    prev2 = legendre_exact(n - 2)
-    return ((2 * n - 1) * _X * prev - (n - 1) * prev2) * Fraction(1, n)
+    if n <= 1:
+        return (LaurentPoly.one(), _X)[n]
+    return _next_degree(legendre_exact, _X, n)
 
 
 @lru_cache(maxsize=None)
@@ -85,13 +89,9 @@ def legendre_on_circle(n: int) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if n == 0:
-        return LaurentPoly.one()
-    if n == 1:
-        return JOUKOWSKI
-    prev = legendre_on_circle(n - 1)
-    prev2 = legendre_on_circle(n - 2)
-    return ((2 * n - 1) * JOUKOWSKI * prev - (n - 1) * prev2) * Fraction(1, n)
+    if n <= 1:
+        return (LaurentPoly.one(), JOUKOWSKI)[n]
+    return _next_degree(legendre_on_circle, JOUKOWSKI, n)
 
 
 def check_legendre_identities(n_max: int) -> list[Certificate]:

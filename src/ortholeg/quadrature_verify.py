@@ -28,6 +28,9 @@ from .legendre import legendre_all
 
 BASE_POINTS = 64
 MAX_POINTS = 2**20
+#: Cap on grid points times rows evaluated per point.  A grid holds about 26
+#: bytes per entry, so this bounds one grid near 0.9 GB at any degree.
+MAX_ENTRIES = 2**25
 
 
 def gram_to_csv(gram: np.ndarray) -> str:
@@ -66,18 +69,21 @@ class OrthoReport:
         }
 
 
-def _refine(evaluate, tol: float):
+def _refine(evaluate, tol: float, rows: int):
     """Evaluate on uniform grids of BASE_POINTS, 2 BASE_POINTS, ... points.
 
     Stops at the first doubling whose value differs from the previous one by
-    less than ``tol`` (entrywise for arrays), or at MAX_POINTS.  Returns the
-    last value, its grid size, the largest change at each doubling, and the
-    last change itself.
+    less than ``tol`` (entrywise for arrays), or before the grid would pass
+    MAX_POINTS points or MAX_ENTRIES points times ``rows``, the number of
+    rows ``evaluate`` holds per grid point.  Returns the last value, its grid
+    size, the largest change at each doubling, and the last change itself.
     """
+    if BASE_POINTS * 2 * rows > MAX_ENTRIES:
+        raise ValueError(f"{rows} rows per point leave no grid to refine within MAX_ENTRIES")
     points = BASE_POINTS
     value = evaluate(points)
     history: list[float] = []
-    while points * 2 <= MAX_POINTS:
+    while points * 2 <= MAX_POINTS and points * 2 * rows <= MAX_ENTRIES:
         points *= 2
         cur = evaluate(points)
         change = abs(cur - value)
@@ -99,14 +105,14 @@ def orthogonality_numeric(n: int, tol: float = 1e-10) -> OrthoReport:
     """Gram matrix of the periodic form by trapezoid refinement.
 
     The uniform grid is doubled until successive matrices agree entrywise to
-    tol/10; entries still moving at the point cap are reported as
+    tol/10; entries still moving at the grid cap are reported as
     unconverged rather than raising.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
-    gram, points, history, change = _refine(lambda p: _gram_on_grid(n, p), tol / 10)
+    gram, points, history, change = _refine(lambda p: _gram_on_grid(n, p), tol / 10, n + 1)
     converged = history[-1] < tol / 10
     unconverged = () if converged else tuple(
         (int(i), int(j)) for i, j in np.argwhere(change >= tol / 10))
@@ -155,7 +161,7 @@ def contour_moment_numeric(n: int, k: int) -> complex:
         fg = np.polyval(coeffs[::-1], z * z) * np.polyval(coeffs, z * z)
         return 2 * (n + 1) * z ** (2 * n - 1) * pk / fg
 
-    return _refine(lambda p: unit_circle_integral(integrand, p), 1e-12)[0]
+    return _refine(lambda p: unit_circle_integral(integrand, p), 1e-12, k + 1)[0]
 
 
 def interval_form_numeric(n: int, i: int, j: int) -> float:
@@ -175,4 +181,4 @@ def interval_form_numeric(n: int, i: int, j: int) -> float:
         pstar, kn = _pstar_kn(n, np.cos((2 * m - 1) * np.pi / (2 * points)))
         return float(np.mean(pstar[i] * pstar[j] / kn))
 
-    return _refine(value, 1e-13)[0]
+    return _refine(value, 1e-13, n + 1)[0]

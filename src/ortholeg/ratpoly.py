@@ -23,28 +23,25 @@ class LaurentPoly:
     """Finitely supported series ``sum_e c_e z**e`` with integer exponents of
     either sign and exact rational coefficients.
 
-    Storage is dense: ``coeffs[i]`` holds the coefficient of
-    ``z**(min_exp + i)``.  Instances are kept in canonical trimmed form (first
-    and last stored coefficients nonzero); the zero polynomial is the empty
-    coefficient tuple with ``min_exp == 0``.
+    Storage is sparse: one ``{exponent: coefficient}`` map holding only the
+    nonzero coefficients, in ascending exponent order, so the single-parity
+    objects of this package (P_n(J), F_n, G_n, K_n, U_m, V_m) store no zeros.
+    The zero polynomial is the empty map.  ``coeffs`` is a dense view built on
+    demand.
     """
 
-    __slots__ = ("_min_exp", "_coeffs")
+    __slots__ = ("_terms",)
 
     def __init__(self, coeffs: Iterable[Rational | int], min_exp: int = 0):
-        cs = [Fraction(c) for c in coeffs]
-        lo = 0
-        while lo < len(cs) and cs[lo] == 0:
-            lo += 1
-        hi = len(cs)
-        while hi > lo and cs[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            self._min_exp = 0
-            self._coeffs: tuple[Fraction, ...] = ()
-        else:
-            self._min_exp = min_exp + lo
-            self._coeffs = tuple(cs[lo:hi])
+        """Dense constructor: ``coeffs[i]`` is the coefficient of ``z**(min_exp + i)``."""
+        self._terms = {min_exp + i: c for i, c in enumerate(map(Fraction, coeffs)) if c}
+
+    @classmethod
+    def _canonical(cls, terms: Mapping[int, Fraction]) -> "LaurentPoly":
+        # canonical form from any map: ascending exponents, zeros dropped
+        p = cls.__new__(cls)
+        p._terms = {e: terms[e] for e in sorted(terms) if terms[e]}
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -63,73 +60,58 @@ class LaurentPoly:
     @classmethod
     def from_pairs(cls, pairs: Mapping[int, Rational | int]) -> "LaurentPoly":
         """Build from an ``{exponent: coefficient}`` mapping."""
-        if not pairs:
-            return cls.zero()
-        lo = min(pairs)
-        hi = max(pairs)
-        cs = [Fraction(pairs.get(e, 0)) for e in range(lo, hi + 1)]
-        return cls(cs, lo)
+        return cls._canonical({e: Fraction(c) for e, c in pairs.items()})
 
     # -- structure ----------------------------------------------------------
 
     @property
     def min_exp(self) -> int:
-        return self._min_exp
+        """Smallest exponent with nonzero coefficient; 0 for the zero polynomial."""
+        return next(iter(self._terms), 0)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """Dense coefficients of z**min_exp .. z**degree (first and last nonzero)."""
+        if not self._terms:
+            return ()
+        return tuple(self.coeff(e) for e in range(self.min_exp, self.degree + 1))
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._terms
 
     @property
     def degree(self) -> int | None:
         """Largest exponent with nonzero coefficient; None for the zero polynomial."""
-        if not self._coeffs:
-            return None
-        return self._min_exp + len(self._coeffs) - 1
+        return next(reversed(self._terms), None)
 
     def coeff(self, exp: int) -> Fraction:
-        i = exp - self._min_exp
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return _ZERO
+        return self._terms.get(exp, _ZERO)
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
-        for i, c in enumerate(self._coeffs):
-            if c:
-                yield self._min_exp + i, c
+        """The nonzero terms ``(exponent, coefficient)`` in ascending exponent order."""
+        return iter(self._terms.items())
 
     def monomial_coefficients(self) -> list[Fraction]:
         """Dense coefficient list from exponent 0 upward (polynomials only)."""
         if self.is_zero:
             return []
-        if self._min_exp < 0:
+        if self.min_exp < 0:
             raise ValueError("negative exponents present; not a polynomial")
-        return [_ZERO] * self._min_exp + list(self._coeffs)
+        return [self.coeff(e) for e in range(self.degree + 1)]
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self._min_exp, other._min_exp)
-        hi = max(self._min_exp + len(self._coeffs), other._min_exp + len(other._coeffs))
-        cs = [_ZERO] * (hi - lo)
-        for i, c in enumerate(self._coeffs):
-            cs[self._min_exp - lo + i] += c
-        for i, c in enumerate(other._coeffs):
-            cs[other._min_exp - lo + i] += c
-        return LaurentPoly(cs, lo)
+        acc = dict(self._terms)
+        for e, c in other._terms.items():
+            acc[e] = acc.get(e, _ZERO) + c
+        return LaurentPoly._canonical(acc)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple(-c for c in self._coeffs), self._min_exp)
+        return LaurentPoly._canonical({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -138,43 +120,28 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            if self.is_zero or other.is_zero:
-                return LaurentPoly.zero()
-            cs = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    if b:
-                        cs[i + j] += a * b
-            return LaurentPoly(cs, self._min_exp + other._min_exp)
+            acc: dict[int, Fraction] = {}
+            for ea, a in self._terms.items():
+                for eb, b in other._terms.items():
+                    acc[ea + eb] = acc.get(ea + eb, _ZERO) + a * b
+            return LaurentPoly._canonical(acc)
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentPoly.zero()
-            return LaurentPoly(tuple(c * other for c in self._coeffs), self._min_exp)
+            return LaurentPoly._canonical({e: c * other for e, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z**k."""
-        if self.is_zero:
-            return self
-        return LaurentPoly(self._coeffs, self._min_exp + k)
+        return LaurentPoly._canonical({e + k: c for e, c in self._terms.items()})
 
     def diff(self) -> "LaurentPoly":
         """Exact term-by-term derivative d/dz."""
-        cs = []
-        for i, c in enumerate(self._coeffs):
-            e = self._min_exp + i
-            cs.append(c * e)
-        return LaurentPoly(cs, self._min_exp - 1)
+        return LaurentPoly._canonical({e - 1: c * e for e, c in self._terms.items()})
 
     def recip(self) -> "LaurentPoly":
         """The substitution z -> 1/z: coefficient of z**e becomes that of z**-e."""
-        if self.is_zero:
-            return self
-        return LaurentPoly(tuple(reversed(self._coeffs)), -(self._min_exp + len(self._coeffs) - 1))
+        return LaurentPoly._canonical({-e: c for e, c in self._terms.items()})
 
     # -- evaluation ---------------------------------------------------------
 
@@ -186,23 +153,21 @@ class LaurentPoly:
         """
         if self.is_zero:
             return 0.0 * z
-        if self._min_exp < 0:
+        lo, hi = self.min_exp, self.degree
+        if lo < 0:
             mask = z == 0
             if mask is True or (hasattr(mask, "any") and mask.any()):
                 raise ZeroDivisionError("evaluation at z=0 with negative exponents")
         pos = 0.0 * z
-        split = max(0, -self._min_exp)
-        for c in reversed(self._coeffs[split:]):
-            pos = pos * z + float(c)
-        # stored slice starts exactly at exponent 0 when it is non-empty, so only
-        # a strictly positive min_exp needs the monomial factor
-        if self._min_exp > 0:
-            pos = pos * z**self._min_exp
-        if not split:
+        for e in range(hi, max(lo, 0) - 1, -1):
+            pos = pos * z + float(self.coeff(e))
+        if lo > 0:
+            pos = pos * z**lo
+        if lo >= 0:
             return pos
         w = 1.0 / z
         neg = 0.0 * z
-        for e in range(self._min_exp, 0):
+        for e in range(lo, 0):
             neg = neg * w + float(self.coeff(e))
         return pos + neg * w
 
@@ -211,10 +176,10 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._min_exp == other._min_exp and self._coeffs == other._coeffs
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self._min_exp, self._coeffs))
+        return hash(tuple(self._terms.items()))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -239,10 +204,7 @@ JOUKOWSKI = LaurentPoly.from_pairs({1: Fraction(1, 2), -1: Fraction(1, 2)})
 
 def substitute(outer: LaurentPoly, inner: LaurentPoly) -> LaurentPoly:
     """Exact composition outer(inner(z)) for a polynomial ``outer`` (min_exp >= 0)."""
-    if outer.is_zero:
-        return LaurentPoly.zero()
-    cs = outer.monomial_coefficients()
     result = LaurentPoly.zero()
-    for c in reversed(cs):
+    for c in reversed(outer.monomial_coefficients()):
         result = result * inner + LaurentPoly((c,))
     return result

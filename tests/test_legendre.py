@@ -1,6 +1,7 @@
 """Legendre evaluation, exact coefficients, circle form, identities, products."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +18,31 @@ from ortholeg.legendre import (
 from ortholeg.ratpoly import LaurentPoly
 
 RNG = np.random.default_rng(20260811)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_cold_caches_do_not_recurse_per_degree():
+    n = 300
+    limit = sys.getrecursionlimit()
+    legendre_exact.cache_clear()
+    legendre_on_circle.cache_clear()
+    try:
+        sys.setrecursionlimit(_stack_depth() + n // 2)
+        exact, circle = legendre_exact(n), legendre_on_circle(n)
+    finally:
+        sys.setrecursionlimit(limit)
+        legendre_exact.cache_clear()
+        legendre_on_circle.cache_clear()
+    # P_n(1) = 1, and J(1) = 1
+    assert sum(c for _, c in exact.terms()) == 1
+    assert sum(c for _, c in circle.terms()) == 1
+    assert (exact.degree, circle.min_exp, circle.degree) == (n, -n, n)
 
 
 def test_eval_degree_two():

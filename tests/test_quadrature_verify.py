@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ortholeg import quadrature_verify
 from ortholeg.partial_fractions import moment_exact
 from ortholeg.quadrature_verify import (
     BASE_POINTS,
@@ -49,6 +50,28 @@ class TestOrthogonalityNumeric:
             for a, b in zip(usable, usable[1:]):
                 if a < 1e-3:
                     assert b / a < 0.5
+
+    def test_unmet_tolerance_stops_at_the_entry_budget(self, monkeypatch):
+        monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 11 * 512)
+        report = orthogonality_numeric(10, tol=1e-300)
+        assert report.points_used == 512
+        assert not report.converged and report.unconverged_entries
+
+    def test_refine_budget_counts_rows(self, monkeypatch):
+        monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 100 * 256)
+        grids = []
+        quadrature_verify._refine(lambda p: grids.append(p) or float(p), 0.0, 100)
+        assert grids == [64, 128, 256]
+
+    def test_budget_without_room_to_refine_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 128 * 5)
+        with pytest.raises(ValueError):
+            orthogonality_numeric(5)
+        assert orthogonality_numeric(4, tol=1e-300).points_used == 128
+
+    def test_entry_budget_admits_the_degree_cap(self):
+        # verify-theorem --n 800 converges at the default tolerance on 32768 points
+        assert 32768 * 801 <= quadrature_verify.MAX_ENTRIES
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -130,17 +130,47 @@ def test_monomial_coefficients_rejects_laurent():
 coeff = st.fractions(
     min_value=F(-9), max_value=F(9), max_denominator=8
 )
-poly = st.builds(
-    LaurentPoly,
-    st.lists(coeff, min_size=0, max_size=6),
-    min_exp=st.integers(min_value=-4, max_value=4),
+poly = st.one_of(
+    st.builds(
+        LaurentPoly,
+        st.lists(coeff, min_size=0, max_size=6),
+        min_exp=st.integers(min_value=-4, max_value=4),
+    ),
+    st.dictionaries(st.integers(min_value=-8, max_value=8), coeff, max_size=5).map(lp),
 )
+
+
+def dense_product(a, b):
+    """Reference product: the naive convolution of the dense coefficient views."""
+    if a.is_zero or b.is_zero:
+        return LaurentPoly.zero()
+    out = [F(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return LaurentPoly(out, a.min_exp + b.min_exp)
 
 
 @settings(max_examples=200, deadline=None)
 @given(poly, poly)
 def test_mul_commutes(a, b):
     assert a * b == b * a
+    assert hash(a * b) == hash(b * a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly, poly)
+def test_mul_matches_dense_convolution(a, b):
+    assert a * b == dense_product(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly, poly)
+def test_equal_values_are_equal_whatever_the_route(a, b):
+    padded = LaurentPoly((0,) + a.coeffs + (0, 0), a.min_exp - 1)
+    for same in ((a + b) - b, lp(dict(a.terms())), padded):
+        assert same == a
+        assert hash(same) == hash(a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,11 +190,15 @@ def test_recip_involution_and_degree(a):
 @settings(max_examples=200, deadline=None)
 @given(poly, poly)
 def test_canonical_after_ops(a, b):
-    for p in (a + b, a - b, a * b, a.diff(), a.recip()):
-        if p.coeffs:
-            assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
+    for p in (a + b, a - b, a * b, a.diff(), a.recip(), a.shift(3), -a, F(2, 3) * a):
+        exps = [e for e, _ in p.terms()]
+        assert exps == sorted(set(exps))
+        assert all(c != 0 for _, c in p.terms())
+        if p.is_zero:
+            assert p.min_exp == 0 and p.coeffs == ()
         else:
-            assert p.min_exp == 0
+            assert p.coeffs == tuple(p.coeff(e) for e in range(p.min_exp, p.degree + 1))
+            assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
 
 
 @settings(max_examples=200, deadline=None)
