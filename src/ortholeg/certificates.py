@@ -41,18 +41,17 @@ def residual_certificate(
     n: int,
     residual: LaurentPoly,
     k: int | None = None,
-    detail: str = "",
 ) -> Certificate:
     """Certify that an exactly computed residual is the zero polynomial."""
     if residual.is_zero:
-        return Certificate(identity=identity, n=n, k=k, detail=detail)
+        return Certificate(identity=identity, n=n, k=k)
     return Certificate(
         identity=identity,
         n=n,
         k=k,
         status="fail",
         residual_terms=sum(1 for _ in residual.terms()),
-        detail=detail or f"nonzero residual {residual!r}",
+        detail=f"nonzero residual {residual!r}",
     )
 
 
@@ -60,14 +59,12 @@ def condition_certificate(
     identity: str,
     n: int,
     ok: bool,
-    k: int | None = None,
     detail: str = "",
 ) -> Certificate:
     """Certify a boolean condition established by exact computation."""
     return Certificate(
         identity=identity,
         n=n,
-        k=k,
         status="pass" if ok else "fail",
         detail=detail,
     )

@@ -70,7 +70,7 @@ def _kn_exact_sum(n: int) -> LaurentPoly:
 def _kn_exact_closed(n: int) -> LaurentPoly:
     p = legendre_exact(n)
     dp = p.diff()
-    x2m1 = LaurentPoly.from_pairs({2: 1, 0: -1})
+    x2m1 = LaurentPoly({2: 1, 0: -1})
     return ((n + 1) ** 2 * p * p - x2m1 * dp * dp) * Fraction(1, 2 * (n + 1))
 
 
@@ -98,12 +98,3 @@ def q_basis_all(n: int, x) -> np.ndarray:
     pstar, kn = _pstar_kn(n, xs)
     return pstar / np.sqrt(kn)
 
-
-def q_basis_eval(n: int, j: int, x):
-    """Q_j(x) for a single index j."""
-    if not 0 <= j <= n:
-        raise ValueError("index must satisfy 0 <= j <= n")
-    q = q_basis_all(n, x)[j]
-    if np.ndim(x) == 0:
-        return float(q)
-    return q

@@ -6,7 +6,7 @@ a command with identical flags produces byte-identical artifacts (seeded,
 counter-based randomness and deterministic serialization throughout).
 
 Exit codes: 0 when every emitted certificate passes, 1 when any check fails,
-2 for invalid configuration.
+2 for invalid configuration or an --output that cannot be written.
 """
 
 from __future__ import annotations
@@ -93,9 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"could not write --output: {exc.strerror or exc}") from exc
 
 
 def _json_text(payload) -> str:
@@ -246,6 +249,9 @@ def _validate(args) -> None:
     n_max = getattr(args, "n_max", None)
     if n_max is not None and not 1 <= n_max <= MAX_N_MAX:
         raise ValueError(f"--n-max must be between 1 and {MAX_N_MAX}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 2**128:
+        raise ValueError("--seed must be between 0 and 2**128 - 1")
     count = getattr(args, "count", None)
     if count is not None and not 1 <= count <= MAX_COUNT:
         raise ValueError(f"--count must be between 1 and {MAX_COUNT}")
@@ -264,10 +270,10 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         text, ok = _COMMANDS[args.command](args)
+        _emit(text, args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.output)
     return 0 if ok else 1
 
 

@@ -45,7 +45,7 @@ def fn_closed_coeffs(n: int) -> LaurentPoly:
         2 * k: scale * (2 * k + 1) * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k)
         for k in range(n + 1)
     }
-    return LaurentPoly.from_pairs(pairs)
+    return LaurentPoly(pairs)
 
 
 def fn_float_coeffs(n: int) -> np.ndarray:
@@ -71,14 +71,14 @@ def _hypergeometric_series(n: int) -> LaurentPoly:
     for k in range(n):
         term = term * (a + k) * (b + k) / ((c + k) * (k + 1))
         coeffs.append(term)
-    return LaurentPoly(coeffs)
+    return LaurentPoly(dict(enumerate(coeffs)))
 
 
 def fn_hypergeometric(n: int) -> LaurentPoly:
     """F_n via the scaled hypergeometric series with w -> z^2."""
     scale = Fraction(math.comb(2 * n, n), 4**n)
     pairs = {2 * e: scale * c for e, c in _hypergeometric_series(n).terms()}
-    return LaurentPoly.from_pairs(pairs)
+    return LaurentPoly(pairs)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class FactorPair:
         rule, the positivity of F_n, and the values F_n(0) and G_n(0)."""
         f = fn_from_definition(n)
         g = f.recip().shift(2 * n)
-        reversed_rule = LaurentPoly.from_pairs(
+        reversed_rule = LaurentPoly(
             {2 * k: f.coeff(2 * (n - k)) for k in range(n + 1)}
         )
         if g != reversed_rule:
@@ -176,10 +176,10 @@ def check_fn_gn_alt(n: int) -> Certificate:
     pair = factor_pair(n)
     ln = legendre_on_circle(n)
     ln1 = legendre_on_circle(n - 1)
-    x2m1 = LaurentPoly.from_pairs({2: 1, 0: -1})
+    x2m1 = LaurentPoly({2: 1, 0: -1})
     z = LaurentPoly.monomial(1)
-    rhs_f = (LaurentPoly.from_pairs({2: 2 * n + 1, 0: -1}) * ln - 2 * n * z * ln1).shift(n)
-    rhs_g = (LaurentPoly.from_pairs({2: 1, 0: -(2 * n + 1)}) * ln + 2 * n * z * ln1).shift(n)
+    rhs_f = (LaurentPoly({2: 2 * n + 1, 0: -1}) * ln - 2 * n * z * ln1).shift(n)
+    rhs_g = (LaurentPoly({2: 1, 0: -(2 * n + 1)}) * ln + 2 * n * z * ln1).shift(n)
     res_f = x2m1 * pair.f - rhs_f
     res_g = x2m1 * pair.g - rhs_g
     return residual_certificate("factor-recurrence-form", n, res_f or res_g)
@@ -196,8 +196,8 @@ def check_ode(n: int) -> Certificate:
     f = fn_from_definition(n)
     df = f.diff()
     ddf = df.diff()
-    term1 = LaurentPoly.from_pairs({1: 1, 3: -1}) * ddf
-    term2 = LaurentPoly.from_pairs({2: 2 * (n - 2), 0: -2 * n}) * df
+    term1 = LaurentPoly({1: 1, 3: -1}) * ddf
+    term2 = LaurentPoly({2: 2 * (n - 2), 0: -2 * n}) * df
     term3 = LaurentPoly.monomial(1, 6 * n) * f
     return residual_certificate("factor-ode", n, term1 + term2 + term3)
 
@@ -229,15 +229,16 @@ class RootReport:
         return {"n": self.n, "roots": [r.to_json() for r in self.roots]}
 
 
-def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray, max_iter: int = 60) -> np.ndarray:
+def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Simultaneous Aberth refinement of all roots of a monic polynomial.
 
     ``coeffs`` are monic coefficients, highest power first.  Converges to
-    residuals near machine precision from companion-matrix starting points.
+    residuals near machine precision from companion-matrix starting points,
+    well within the 60 sweeps allowed.
     """
     deriv = np.polyder(coeffs)
     scale = np.sum(np.abs(coeffs))
-    for _ in range(max_iter):
+    for _ in range(60):
         values = np.polyval(coeffs, roots)
         if np.max(np.abs(values)) <= 1e-15 * scale:
             break

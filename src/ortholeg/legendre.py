@@ -56,12 +56,6 @@ def legendre_all(n_max: int, x) -> list:
     return values
 
 
-def legendre_normalized_eval(n: int, x):
-    """P_n*(x) = sqrt((2n+1)/2) P_n(x)."""
-    value, _ = legendre_eval(n, x)
-    return math.sqrt((2 * n + 1) / 2) * value
-
-
 def _next_degree(cached, x: LaurentPoly, n: int) -> LaurentPoly:
     # n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}; the lower degrees are filled
     # bottom-up first, so a cold call recurses one level instead of n
@@ -135,13 +129,14 @@ def _adams(r: int) -> Fraction:
     return Fraction(math.comb(2 * r, r), 4**r)
 
 
+@lru_cache(maxsize=None)
 def legendre_product_expand(i: int, j: int) -> tuple[Fraction, ...]:
     """Exact Legendre-basis coefficients (a_0, ..., a_{i+j}) of P_i P_j.
 
     Adams' linearization formula (Adams 1878): with t = i + j - r, the
     coefficient of P_{t-r} is A_{i-r} A_r A_{j-r} / A_t * (2(t-r)+1)/(2t+1)
     for 0 <= r <= min(i, j), and every other coefficient is zero.  The
-    constant coefficient a_0 equals delta_ij / (2i+1).
+    constant coefficient a_0 equals delta_ij / (2i+1).  Cached: it does not depend on n.
     """
     if i < 0 or j < 0:
         raise ValueError("degrees must be non-negative")

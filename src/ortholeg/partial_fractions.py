@@ -45,8 +45,8 @@ def build_abcd(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]
         raise ValueError("n must be at least 1")
     base = LaurentPoly.monomial(n - 1)
     top, low = Fraction(2 * n + 1, 2 * n), Fraction(-1, 2 * n)
-    u = {n: base, n - 1: LaurentPoly.from_pairs({n: top, n - 2: low})}
-    v = {n: base, n - 1: LaurentPoly.from_pairs({n - 2: top, n: low})}
+    u = {n: base, n - 1: LaurentPoly({n: top, n - 2: low})}
+    v = {n: base, n - 1: LaurentPoly({n - 2: top, n: low})}
     steps = [(m, m + 1) for m in range(n, 2 * n)] + [(m, m - 1) for m in range(n - 1, 0, -1)]
     for m, new in steps:
         old = 2 * m - new
@@ -141,7 +141,7 @@ def _split_residues(u: LaurentPoly, v: LaurentPoly, pair: FactorPair) -> Fractio
         raise ArithmeticError("numerator degree too large for the residue rule")
     total = p.coeff(2 * n - 1) / lc_f
     if c:
-        shifted = (pair.f - LaurentPoly((pair.f.coeff(0),))).shift(-1)
+        shifted = (pair.f - LaurentPoly({0: pair.f.coeff(0)})).shift(-1)
         total += (c / pair.f.coeff(0)) * (1 - shifted.coeff(2 * n - 1) / lc_f)
     d = v.coeff(-1)
     if d:
@@ -149,29 +149,23 @@ def _split_residues(u: LaurentPoly, v: LaurentPoly, pair: FactorPair) -> Fractio
     return total
 
 
-def moment_exact(n: int, k: int) -> Fraction:
-    """Exact unit-circle moment (1/2 pi i) of 2(n+1) z^{2n-1} P_k(J) / (F_n G_n).
+@lru_cache(maxsize=None)
+def moments_table(n: int) -> tuple[Fraction, ...]:
+    """Exact unit-circle moments (1/2 pi i) of 2(n+1) z^{2n-1} P_k(J) / (F_n G_n), k = 0..2n.
 
-    Evaluates to 2 for k = 0 and 0 for 1 <= k <= 2n, entirely in rational
+    They evaluate to 2 for k = 0 and 0 for 1 <= k <= 2n, entirely in rational
     arithmetic via the partial-fraction split and residue reduction rules.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0 <= k <= 2 * n:
-        raise ValueError("k must satisfy 0 <= k <= 2n")
     u, v = build_abcd(n)
-    return _split_residues(u[k], v[k], factor_pair(n))
-
-
-@lru_cache(maxsize=None)
-def moments_table(n: int) -> tuple[Fraction, ...]:
-    """All moments k = 0..2n for a given n."""
-    return tuple(moment_exact(n, k) for k in range(2 * n + 1))
+    pair = factor_pair(n)
+    return tuple(_split_residues(u[k], v[k], pair) for k in range(2 * n + 1))
 
 
 @certifies("moment-values")
 def check_moments(n: int) -> Certificate:
-    """Certify moment_exact(n, k) == 2 delta_{k0} for every admissible k."""
+    """Certify moments_table(n)[k] == 2 delta_{k0} for every k = 0..2n."""
     bad = [k for k, m in enumerate(moments_table(n))
            if m != (2 if k == 0 else 0)]
     return condition_certificate(

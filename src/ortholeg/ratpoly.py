@@ -3,18 +3,15 @@
 Every identity certificate in this package reduces to "compute a residual
 Laurent polynomial in exact rational arithmetic and assert it is identically
 zero", so the substrate carries ``fractions.Fraction`` coefficients
-throughout.  Values are immutable after construction and all operations are
-pure, so they are safe to share across threads.
+throughout.  A ``LaurentPoly`` is one exponent-to-coefficient map and has no
+floating-point evaluation.  Values are immutable after construction and all
+operations are pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
-
-# Arbitrary-precision rational with gcd-reduced numerator/denominator and
-# denominator > 0 guaranteed by the constructor.
-Rational = Fraction
+from typing import Iterator, Mapping
 
 _ZERO = Fraction(0)
 
@@ -26,19 +23,19 @@ class LaurentPoly:
     Storage is sparse: one ``{exponent: coefficient}`` map holding only the
     nonzero coefficients, in ascending exponent order, so the single-parity
     objects of this package (P_n(J), F_n, G_n, K_n, U_m, V_m) store no zeros.
-    The zero polynomial is the empty map.  ``coeffs`` is a dense view built on
-    demand.
+    The zero polynomial is the empty map.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, coeffs: Iterable[Rational | int], min_exp: int = 0):
-        """Dense constructor: ``coeffs[i]`` is the coefficient of ``z**(min_exp + i)``."""
-        self._terms = {min_exp + i: c for i, c in enumerate(map(Fraction, coeffs)) if c}
+    def __init__(self, terms: Mapping[int, Fraction | int]):
+        """``terms`` maps exponents to coefficients; zero coefficients are dropped."""
+        terms = {e: Fraction(c) for e, c in terms.items()}
+        self._terms = {e: terms[e] for e in sorted(terms) if terms[e]}
 
     @classmethod
     def _canonical(cls, terms: Mapping[int, Fraction]) -> "LaurentPoly":
-        # canonical form from any map: ascending exponents, zeros dropped
+        # the constructor for maps whose coefficients are already Fractions
         p = cls.__new__(cls)
         p._terms = {e: terms[e] for e in sorted(terms) if terms[e]}
         return p
@@ -47,20 +44,15 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls(())
+        return cls({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls((1,))
+        return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: Rational | int = 1) -> "LaurentPoly":
-        return cls((coeff,), exp)
-
-    @classmethod
-    def from_pairs(cls, pairs: Mapping[int, Rational | int]) -> "LaurentPoly":
-        """Build from an ``{exponent: coefficient}`` mapping."""
-        return cls._canonical({e: Fraction(c) for e, c in pairs.items()})
+    def monomial(cls, exp: int, coeff: Fraction | int = 1) -> "LaurentPoly":
+        return cls({exp: coeff})
 
     # -- structure ----------------------------------------------------------
 
@@ -71,7 +63,8 @@ class LaurentPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """Dense coefficients of z**min_exp .. z**degree (first and last nonzero)."""
+        """Dense coefficients of z**min_exp .. z**degree (first and last nonzero), kept
+        only for ``_count_mul`` in ``perfbench/tracer.py``; package code reads ``terms()``."""
         if not self._terms:
             return ()
         return tuple(self.coeff(e) for e in range(self.min_exp, self.degree + 1))
@@ -91,14 +84,6 @@ class LaurentPoly:
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """The nonzero terms ``(exponent, coefficient)`` in ascending exponent order."""
         return iter(self._terms.items())
-
-    def monomial_coefficients(self) -> list[Fraction]:
-        """Dense coefficient list from exponent 0 upward (polynomials only)."""
-        if self.is_zero:
-            return []
-        if self.min_exp < 0:
-            raise ValueError("negative exponents present; not a polynomial")
-        return [self.coeff(e) for e in range(self.degree + 1)]
 
     # -- ring operations ----------------------------------------------------
 
@@ -143,34 +128,6 @@ class LaurentPoly:
         """The substitution z -> 1/z: coefficient of z**e becomes that of z**-e."""
         return LaurentPoly._canonical({-e: c for e, c in self._terms.items()})
 
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, z):
-        """Floating evaluation by Horner on the non-negative and negative parts.
-
-        Accepts float, complex or numpy arrays; z == 0 is a domain error when
-        negative exponents are present.
-        """
-        if self.is_zero:
-            return 0.0 * z
-        lo, hi = self.min_exp, self.degree
-        if lo < 0:
-            mask = z == 0
-            if mask is True or (hasattr(mask, "any") and mask.any()):
-                raise ZeroDivisionError("evaluation at z=0 with negative exponents")
-        pos = 0.0 * z
-        for e in range(hi, max(lo, 0) - 1, -1):
-            pos = pos * z + float(self.coeff(e))
-        if lo > 0:
-            pos = pos * z**lo
-        if lo >= 0:
-            return pos
-        w = 1.0 / z
-        neg = 0.0 * z
-        for e in range(lo, 0):
-            neg = neg * w + float(self.coeff(e))
-        return pos + neg * w
-
     # -- dunder plumbing ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -199,12 +156,14 @@ class LaurentPoly:
 
 
 #: The conformal map (z + 1/z)/2 carrying the unit circle onto [-1, 1].
-JOUKOWSKI = LaurentPoly.from_pairs({1: Fraction(1, 2), -1: Fraction(1, 2)})
+JOUKOWSKI = LaurentPoly({1: Fraction(1, 2), -1: Fraction(1, 2)})
 
 
 def substitute(outer: LaurentPoly, inner: LaurentPoly) -> LaurentPoly:
     """Exact composition outer(inner(z)) for a polynomial ``outer`` (min_exp >= 0)."""
+    if outer.min_exp < 0:
+        raise ValueError("negative exponents present; not a polynomial")
     result = LaurentPoly.zero()
-    for c in reversed(outer.monomial_coefficients()):
-        result = result * inner + LaurentPoly((c,))
+    for e in range(outer.degree or 0, -1, -1):
+        result = result * inner + LaurentPoly({0: outer.coeff(e)})
     return result

@@ -32,10 +32,13 @@ class SampleBatch:
 
     points: np.ndarray
     seed: int
-    generator_name: str = GENERATOR_NAME
 
     def __post_init__(self):
         self.points.setflags(write=False)
+
+    @property
+    def generator_name(self) -> str:
+        return GENERATOR_NAME
 
     @property
     def count(self) -> int:

@@ -6,6 +6,7 @@ lines; every tolerance is pinned here.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -164,3 +165,10 @@ def test_criterion_7_cli_determinism(tmp_path):
         ok = ok and cli_main([*argv, "--output", str(second)]) == 0
         ok = ok and first.read_bytes() == second.read_bytes()
     _report("7 byte-identical CLI artifacts", ok)
+
+
+def test_readme_library_sketch_runs():
+    # every name the README documents must still exist and behave as shown
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})

@@ -11,8 +11,8 @@ from ortholeg.christoffel import (
     kn_eval,
     kn_exact,
     q_basis_all,
-    q_basis_eval,
 )
+from ortholeg.ratpoly import LaurentPoly
 
 RNG = np.random.default_rng(1357)
 
@@ -40,8 +40,8 @@ def test_closed_form_hand_expansion_degree_one():
 
 
 def test_exact_low_degrees():
-    assert kn_exact(0).monomial_coefficients() == [F(1, 2)]
-    assert kn_exact(1).monomial_coefficients() == [F(1, 4), F(0), F(3, 4)]
+    assert kn_exact(0) == LaurentPoly({0: F(1, 2)})
+    assert kn_exact(1) == LaurentPoly({0: F(1, 4), 2: F(3, 4)})
 
 
 def test_exact_forms_agree_to_forty():
@@ -85,12 +85,12 @@ def test_invalid_mode_rejected():
 class TestQBasis:
     def test_degree_zero_is_constant_one(self):
         for x in (-1.0, -0.2, 0.9):
-            assert q_basis_eval(0, 0, x) == pytest.approx(1.0, abs=1e-14)
+            assert q_basis_all(0, x)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_hand_value(self):
         # K_1(0) = 1/4 so Q_0(0) = (1/sqrt 2)/(1/2) = sqrt 2
-        assert q_basis_eval(1, 0, 0.0) == pytest.approx(math.sqrt(2), abs=1e-14)
-        assert q_basis_eval(1, 1, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert q_basis_all(1, 0.0)[0] == pytest.approx(math.sqrt(2), abs=1e-14)
+        assert q_basis_all(1, 0.0)[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_squares_sum_to_dimension(self):
         q = q_basis_all(3, 0.3)
@@ -105,8 +105,4 @@ class TestQBasis:
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            q_basis_eval(2, 0, 1.5)
-
-    def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            q_basis_eval(2, 3, 0.0)
+            q_basis_all(2, 1.5)

@@ -158,6 +158,34 @@ def test_numeric_run_over_cap_exits_two(argv, cap, capsys, monkeypatch):
     _assert_rejected_before_running(argv, cap, capsys, monkeypatch)
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gram", "--n", "2", "--count", "10"),
+        ("sample", "--count", "3"),
+        ("fit", "--n", "2", "--count", "10"),
+    ],
+)
+def test_out_of_range_seed_exits_two(argv, seed, capsys, monkeypatch):
+    _assert_rejected_before_running((*argv, "--seed", seed), "--seed", capsys, monkeypatch)
+
+
+def test_seed_range_ends_are_accepted(capsys):
+    for seed in ("0", str(2**128 - 1)):
+        assert main(["sample", "--count", "1", "--seed", seed, "--format", "text"]) == 0
+        assert capsys.readouterr().out.startswith(f"count=1 seed={seed} ")
+
+
+def test_unwritable_output_exits_two_after_the_run(tmp_path, capsys):
+    # a 300-character file name exceeds the file-system name limit, even for root
+    target = tmp_path / ("a" * 300)
+    assert main(["sample", "--count", "2", "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--output" in err and "Traceback" not in err
+
+
 def _assert_rejected_before_running(argv, cap, capsys, monkeypatch):
     def must_not_run(args):
         raise AssertionError("the command ran past its cap")

@@ -23,8 +23,7 @@ from ortholeg.factorization import (
 from ortholeg.ratpoly import LaurentPoly
 
 
-def lp(pairs):
-    return LaurentPoly.from_pairs(pairs)
+lp = LaurentPoly
 
 
 class TestConstructions:
@@ -89,16 +88,19 @@ class TestRecurrenceForm:
         assert check_fn_gn_alt(2).passed
 
     def test_spot_value(self):
-        # both sides of the F-form at a complex point off the circle
-        n, z = 3, 0.7 + 0.2j
-        f = fn_from_definition(n)
-        from ortholeg.legendre import legendre_eval
+        # both sides of the F-form, exactly, at rational points off the circle
+        from ortholeg.legendre import legendre_exact
 
-        x = (z + 1 / z) / 2
-        pn, _ = legendre_eval(n, x)
-        pn1, _ = legendre_eval(n - 1, x)
-        rhs = z**n * (((2 * n + 1) * z * z - 1) * pn - 2 * n * z * pn1)
-        assert abs((z * z - 1) * f(z) - rhs) < 1e-12
+        def value(p, z):
+            return sum((c * z**e for e, c in p.terms()), F(0))
+
+        for n in (1, 3, 8):
+            f = fn_from_definition(n)
+            for z in (F(7, 10), F(-3, 2)):
+                x = (z + 1 / z) / 2
+                pn, pn1 = value(legendre_exact(n), x), value(legendre_exact(n - 1), x)
+                rhs = z**n * (((2 * n + 1) * z * z - 1) * pn - 2 * n * z * pn1)
+                assert (z * z - 1) * value(f, z) == rhs
 
 
 class TestOde:

@@ -107,7 +107,7 @@ def test_opposite_tampers_of_f_and_g_fail_recurrence_form(monkeypatch):
 
 
 def test_residual_terms_count_nonzero_coefficients():
-    cert = residual_certificate("example", 1, LaurentPoly.from_pairs({4: 1, 0: -1}))
+    cert = residual_certificate("example", 1, LaurentPoly({4: 1, 0: -1}))
     assert cert.status == "fail" and cert.residual_terms == 2
 
 

@@ -11,7 +11,6 @@ from ortholeg.legendre import (
     check_legendre_identities,
     legendre_eval,
     legendre_exact,
-    legendre_normalized_eval,
     legendre_on_circle,
     legendre_product_expand,
 )
@@ -58,27 +57,24 @@ def test_eval_at_one_is_one():
 
 
 def test_exact_low_degrees():
-    assert legendre_exact(0).monomial_coefficients() == [F(1)]
-    assert legendre_exact(1).monomial_coefficients() == [F(0), F(1)]
-    assert legendre_exact(2).monomial_coefficients() == [F(-1, 2), F(0), F(3, 2)]
+    assert legendre_exact(0) == LaurentPoly({0: 1})
+    assert legendre_exact(1) == LaurentPoly({1: 1})
+    assert legendre_exact(2) == LaurentPoly({0: F(-1, 2), 2: F(3, 2)})
     # (5x^3 - 3x)/2
-    assert legendre_exact(3).monomial_coefficients() == [F(0), F(-3, 2), F(0), F(5, 2)]
+    assert legendre_exact(3) == LaurentPoly({1: F(-3, 2), 3: F(5, 2)})
 
 
-def _exact_horner(poly, x):
-    # evaluate exact coefficients at the exact binary rational of x
-    fx = F(x)
-    acc = F(0)
-    for c in reversed(poly.monomial_coefficients()):
-        acc = acc * fx + c
-    return float(acc)
+def _exact_value(poly, x):
+    # exact value at the rational x (nonzero when poly has negative exponents)
+    return sum((c * x**e for e, c in poly.terms()), F(0))
 
 
 def test_eval_matches_exact_coefficients():
     xs = RNG.uniform(-1, 1, size=100)
     for n in (1, 2, 5, 13, 27, 50):
         exact = legendre_exact(n)
-        reference = np.array([_exact_horner(exact, float(x)) for x in xs])
+        # exact coefficients at the exact binary rational of each sample
+        reference = np.array([float(_exact_value(exact, F(x))) for x in xs])
         value, _ = legendre_eval(n, xs)
         # relative to the polynomial scale sup |P_n| = 1 on [-1, 1]
         scale = np.maximum(np.abs(reference), 1.0)
@@ -90,17 +86,17 @@ def test_derivative_matches_exact():
     for n in (2, 7, 20):
         dexact = legendre_exact(n).diff()
         _, deriv = legendre_eval(n, xs)
-        reference = np.array([_exact_horner(dexact, float(x)) for x in xs])
+        reference = np.array([float(_exact_value(dexact, F(x))) for x in xs])
         assert np.max(np.abs(deriv - reference)) < 1e-12 * max(1.0, np.abs(reference).max())
 
 
 def test_normalized_constant():
     for x in (-0.7, 0.0, 0.3):
-        assert legendre_normalized_eval(0, x) == pytest.approx(1 / math.sqrt(2))
+        assert math.sqrt(1 / 2) * legendre_eval(0, x)[0] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_normalized_degree_one_at_one():
-    assert legendre_normalized_eval(1, 1.0) == pytest.approx(math.sqrt(1.5))
+    assert math.sqrt(3 / 2) * legendre_eval(1, 1.0)[0] == pytest.approx(math.sqrt(1.5))
 
 
 def test_normalized_unit_norm_by_gauss_quadrature():
@@ -108,16 +104,29 @@ def test_normalized_unit_norm_by_gauss_quadrature():
     # nodes 0, +-sqrt(3/5); weights 8/9, 5/9.
     nodes = [0.0, math.sqrt(3 / 5), -math.sqrt(3 / 5)]
     weights = [8 / 9, 5 / 9, 5 / 9]
-    integral = sum(w * legendre_normalized_eval(1, x) ** 2 for x, w in zip(nodes, weights))
+    integral = sum(w * (math.sqrt(3 / 2) * legendre_eval(1, x)[0]) ** 2
+                   for x, w in zip(nodes, weights))
     assert integral == pytest.approx(1.0, abs=1e-14)
+
+
+def _exact_on_circle(poly, re, im):
+    # exact (real, imaginary) value at z = re + i im on the unit circle, where 1/z = conj(z)
+    total_re = total_im = F(0)
+    for e, c in poly.terms():
+        x, y = F(1), F(0)
+        for _ in range(abs(e)):
+            x, y = x * re - y * im, x * im + y * re
+        total_re += c * x
+        total_im += c * y if e >= 0 else -c * y
+    return total_re, total_im
 
 
 class TestOnCircle:
     def test_degree_one(self):
-        assert legendre_on_circle(1) == LaurentPoly.from_pairs({1: F(1, 2), -1: F(1, 2)})
+        assert legendre_on_circle(1) == LaurentPoly({1: F(1, 2), -1: F(1, 2)})
 
     def test_degree_two(self):
-        expected = LaurentPoly.from_pairs({2: F(3, 8), 0: F(1, 4), -2: F(3, 8)})
+        expected = LaurentPoly({2: F(3, 8), 0: F(1, 4), -2: F(3, 8)})
         assert legendre_on_circle(2) == expected
 
     def test_symmetric_under_inversion(self):
@@ -132,12 +141,17 @@ class TestOnCircle:
             assert all((e - n) % 2 == 0 for e in exps)
 
     def test_matches_cosine_evaluation(self):
-        thetas = RNG.uniform(0, 2 * np.pi, size=100)
+        # z = (a + ib)/c with a^2 + b^2 = c^2 lies on the unit circle, where
+        # J(z) = a/c is the rational cosine: P_n(J(z)) = P_n(a/c) exactly
+        triples = ((3, 4, 5), (-5, 12, 13), (8, -15, 17), (-7, -24, 25), (20, 21, 29))
         for n in (1, 4, 17, 30):
             p = legendre_on_circle(n)
-            on_circle = np.array([p(complex(np.cos(t), np.sin(t))) for t in thetas])
-            direct, _ = legendre_eval(n, np.cos(thetas))
-            assert np.max(np.abs(on_circle - direct)) < 1e-12
+            for a, b, c in triples:
+                cosine = F(a, c)
+                on_circle = _exact_on_circle(p, cosine, F(b, c))
+                assert on_circle == (_exact_value(legendre_exact(n), cosine), 0)
+                direct, _ = legendre_eval(n, float(cosine))
+                assert abs(float(on_circle[0]) - direct) < 1e-12
 
 
 class TestIdentities:
@@ -172,6 +186,10 @@ class TestProductExpand:
 
     def test_constant(self):
         assert legendre_product_expand(0, 0) == (F(1),)
+
+    def test_cached_across_degrees(self):
+        # the checks of every degree n read the same expansion object
+        assert legendre_product_expand(3, 5) is legendre_product_expand(3, 5)
 
     def test_constant_coefficient_is_half_delta(self):
         # a_0 = delta_ij / (2i+1), so P_i* P_j* has constant coefficient delta_ij / 2

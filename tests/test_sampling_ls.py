@@ -7,6 +7,7 @@ import pytest
 
 from ortholeg.christoffel import _pstar_kn
 from ortholeg.sampling_ls import (
+    GENERATOR_NAME,
     SampleBatch,
     arcsine_from_uniform,
     design_matrix,
@@ -52,7 +53,7 @@ class TestSampleBatch:
         a = sample_arcsine(1000, 7)
         b = sample_arcsine(1000, 7)
         assert np.array_equal(a.points, b.points)
-        assert a.generator_name == b.generator_name
+        assert a.generator_name == b.generator_name == GENERATOR_NAME
 
     def test_immutable(self):
         batch = sample_arcsine(10, 1)
