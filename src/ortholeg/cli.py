@@ -27,7 +27,7 @@ DEFAULT_SEED = 0
 # the numeric and sampling runs, whose memory grows with the quadrature grid,
 # the sample and the count x (n+1) design matrix of gram and fit.  Each capped
 # run takes about a minute or less and under about 1 GB.
-MAX_N_MAX = 50
+MAX_N_MAX = 100
 MAX_N_EXACT = 250
 MAX_N_NUMERIC = 800
 MAX_COUNT = 10**6

@@ -36,25 +36,28 @@ def fn_from_definition(n: int) -> LaurentPoly:
     return legendre_on_circle(n).shift(n + 1).diff()
 
 
-def fn_closed_coeffs(n: int) -> LaurentPoly:
-    """F_n from its closed coefficients 2^{-2n} (2k+1) C(2k,k) C(2n-2k,n-k) z^{2k}."""
+def _fn_closed_numerators(n: int) -> list[int]:
+    """4^n times F_n's coefficients of z^0, z^2, ..., z^{2n}: (2k+1) C(2k,k) C(2n-2k,n-k)."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    scale = Fraction(1, 4**n)
-    pairs = {
-        2 * k: scale * (2 * k + 1) * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k)
-        for k in range(n + 1)
-    }
-    return LaurentPoly(pairs)
+    return [(2 * k + 1) * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k)
+            for k in range(n + 1)]
+
+
+def fn_closed_coeffs(n: int) -> LaurentPoly:
+    """F_n from its closed coefficients 2^{-2n} (2k+1) C(2k,k) C(2n-2k,n-k) z^{2k}."""
+    numerators, scale = _fn_closed_numerators(n), 4**n
+    return LaurentPoly({2 * k: Fraction(c, scale) for k, c in enumerate(numerators)})
 
 
 def fn_float_coeffs(n: int) -> np.ndarray:
     """F_n's coefficients of w^0, ..., w^n (w = z^2), each correctly rounded to float.
 
-    The numeric paths evaluate F_n and its reversal G_n from this array.
+    The numeric paths evaluate F_n and its reversal G_n from this array.  Integer
+    true division rounds correctly, and no exact polynomial is built.
     """
-    f = fn_closed_coeffs(n)
-    return np.array([float(f.coeff(2 * k)) for k in range(n + 1)])
+    numerators, scale = _fn_closed_numerators(n), 4**n
+    return np.array([c / scale for c in numerators])
 
 
 def _hypergeometric_series(n: int) -> LaurentPoly:

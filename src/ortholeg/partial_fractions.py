@@ -177,8 +177,8 @@ def check_moments(n: int) -> Certificate:
 def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
     """Exact arcsine/Christoffel inner product of P_i* and P_j*, which is delta_ij.
 
-    Sums the Adams coefficients a_k of P_i P_j against the exact moments and
-    scales by sqrt((2i+1)(2j+1))/2.  Every moment with k >= 1 vanishes, so
+    Sums the Adams coefficients a_k of P_i P_j against the nonzero exact
+    moments and scales by sqrt((2i+1)(2j+1))/2.  Every moment with k >= 1 vanishes, so
     only 2 a_0 = 2 delta_ij/(2i+1) survives: the sum is zero (i != j) or the
     square root is exact (i == j).  A nonzero sum times an irrational root
     raises ArithmeticError.
@@ -186,7 +186,8 @@ def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i, j <= n")
     moments = moments_table(n)
-    s = sum((a * moments[k] for k, a in enumerate(legendre_product_expand(i, j)) if a),
+    s = sum((a * moments[k] for k, a in enumerate(legendre_product_expand(i, j))
+             if a and moments[k]),
             start=Fraction(0))
     if s == 0:
         return Fraction(0)

@@ -1,44 +1,70 @@
-"""Exact arithmetic substrate: rationals and Laurent polynomials.
+"""Exact arithmetic substrate: Laurent polynomials with rational coefficients.
 
 Every identity certificate in this package reduces to "compute a residual
 Laurent polynomial in exact rational arithmetic and assert it is identically
-zero", so the substrate carries ``fractions.Fraction`` coefficients
-throughout.  A ``LaurentPoly`` is one exponent-to-coefficient map and has no
-floating-point evaluation.  Values are immutable after construction and all
-operations are pure, so they are safe to share across threads.
+zero".  A ``LaurentPoly`` stores integer numerators over one common
+denominator, so every ring operation is integer arithmetic, and a product of
+two polynomials is one big-integer multiply by Kronecker substitution
+(Schönhage, EUROCAM 1982; Harvey, J. Symbolic Comput. 2009).  Coefficients
+are read back as ``fractions.Fraction``.  There is no floating-point
+evaluation.  Values are immutable after construction and all operations are
+pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping
-
-_ZERO = Fraction(0)
 
 
 class LaurentPoly:
     """Finitely supported series ``sum_e c_e z**e`` with integer exponents of
     either sign and exact rational coefficients.
 
-    Storage is sparse: one ``{exponent: coefficient}`` map holding only the
-    nonzero coefficients, in ascending exponent order, so the single-parity
-    objects of this package (P_n(J), F_n, G_n, K_n, U_m, V_m) store no zeros.
-    The zero polynomial is the empty map.
+    Storage is sparse: one ``{exponent: numerator}`` map of nonzero integers
+    in ascending exponent order, over one positive common denominator, so
+    ``c_e = numerator_e / denominator``.  The single-parity objects of this
+    package (P_n(J), F_n, G_n, K_n, U_m, V_m) store no zeros.  The pair is
+    kept reduced (the denominator and all numerators have gcd 1), so ``==``
+    and ``hash`` compare storage.  The zero polynomial is the empty map over 1.
+
+    ``a * b`` packs each operand into one integer, one slot per exponent step
+    g, where g is the gcd of every exponent gap of both operands.  A slot
+    holds ``w`` bits, where ``w`` is the bit length of
+    ``min(len a, len b) * max|a| * max|b|`` plus 2, rounded up to whole
+    bytes.  No coefficient of the product reaches ``2**(w - 2)``, so the one
+    integer product holds each coefficient in its own slot, and adding half a
+    slot to every slot makes each one read back as an unsigned integer.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[int, Fraction | int]):
         """``terms`` maps exponents to coefficients; zero coefficients are dropped."""
-        terms = {e: Fraction(c) for e, c in terms.items()}
-        self._terms = {e: terms[e] for e in sorted(terms) if terms[e]}
+        coeffs = {e: Fraction(c) for e, c in terms.items() if c}
+        # the lcm of reduced denominators leaves the numerators without a common factor
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._num = {e: coeffs[e].numerator * (den // coeffs[e].denominator)
+                     for e in sorted(coeffs)}
+        self._den = den
 
     @classmethod
-    def _canonical(cls, terms: Mapping[int, Fraction]) -> "LaurentPoly":
-        # the constructor for maps whose coefficients are already Fractions
+    def _new(cls, num: dict[int, int], den: int) -> "LaurentPoly":
+        # ``num`` holds nonzero integers in ascending exponent order; the pair is reduced
         p = cls.__new__(cls)
-        p._terms = {e: terms[e] for e in sorted(terms) if terms[e]}
+        p._num = num
+        p._den = den
         return p
+
+    @classmethod
+    def _reduced(cls, num: dict[int, int], den: int) -> "LaurentPoly":
+        # as ``_new``, dividing out the gcd of the denominator and the numerators
+        g = math.gcd(den, *num.values())
+        if g > 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+        return cls._new(num, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -59,84 +85,90 @@ class LaurentPoly:
     @property
     def min_exp(self) -> int:
         """Smallest exponent with nonzero coefficient; 0 for the zero polynomial."""
-        return next(iter(self._terms), 0)
+        return next(iter(self._num), 0)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Dense coefficients of z**min_exp .. z**degree (first and last nonzero), kept
         only for ``_count_mul`` in ``perfbench/tracer.py``; package code reads ``terms()``."""
-        if not self._terms:
+        if not self._num:
             return ()
         return tuple(self.coeff(e) for e in range(self.min_exp, self.degree + 1))
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def degree(self) -> int | None:
         """Largest exponent with nonzero coefficient; None for the zero polynomial."""
-        return next(reversed(self._terms), None)
+        return next(reversed(self._num), None)
 
     def coeff(self, exp: int) -> Fraction:
-        return self._terms.get(exp, _ZERO)
+        return Fraction(self._num.get(exp, 0), self._den)
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """The nonzero terms ``(exponent, coefficient)`` in ascending exponent order."""
-        return iter(self._terms.items())
+        den = self._den
+        return ((e, Fraction(c, den)) for e, c in self._num.items())
 
     # -- ring operations ----------------------------------------------------
+
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        den = math.lcm(self._den, other._den)
+        scale, other_scale = den // self._den, sign * (den // other._den)
+        acc = {e: c * scale for e, c in self._num.items()}
+        for e, c in other._num.items():
+            acc[e] = acc.get(e, 0) + c * other_scale
+        return LaurentPoly._reduced({e: acc[e] for e in sorted(acc) if acc[e]}, den)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            acc[e] = acc.get(e, _ZERO) + c
-        return LaurentPoly._canonical(acc)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._canonical({e: -c for e, c in self._terms.items()})
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly._new({e: -c for e, c in self._num.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            acc: dict[int, Fraction] = {}
-            for ea, a in self._terms.items():
-                for eb, b in other._terms.items():
-                    acc[ea + eb] = acc.get(ea + eb, _ZERO) + a * b
-            return LaurentPoly._canonical(acc)
+            return LaurentPoly._reduced(_kronecker(self._num, other._num),
+                                        self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly._canonical({e: c * other for e, c in self._terms.items()})
+            other = Fraction(other)
+            top = other.numerator
+            num = {e: c * top for e, c in self._num.items()} if top else {}
+            return LaurentPoly._reduced(num, self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z**k."""
-        return LaurentPoly._canonical({e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._new({e + k: c for e, c in self._num.items()}, self._den)
 
     def diff(self) -> "LaurentPoly":
         """Exact term-by-term derivative d/dz."""
-        return LaurentPoly._canonical({e - 1: c * e for e, c in self._terms.items()})
+        return LaurentPoly._reduced({e - 1: c * e for e, c in self._num.items() if e}, self._den)
 
     def recip(self) -> "LaurentPoly":
         """The substitution z -> 1/z: coefficient of z**e becomes that of z**-e."""
-        return LaurentPoly._canonical({-e: c for e, c in self._terms.items()})
+        return LaurentPoly._new({-e: self._num[e] for e in reversed(self._num)}, self._den)
 
     # -- dunder plumbing ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
+        return hash((self._den, tuple(self._num.items())))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -153,6 +185,39 @@ class LaurentPoly:
             else:
                 parts.append(f"{c}*z^{e}")
         return "LaurentPoly(" + " + ".join(parts) + ")"
+
+
+def _half_slots(count: int, width: int) -> int:
+    """Half a slot, 2**(8 width - 1), in each of ``count`` slots of ``width`` bytes."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * count, "little")
+
+
+def _pack(num: dict[int, int], low: int, step: int, width: int) -> tuple[int, int]:
+    """(sum_k c_k 2**(8 width k), slot count) for the coefficients c_k of z**(low + step k)."""
+    half = 1 << (8 * width - 1)
+    slots = [half] * ((next(reversed(num)) - low) // step + 1)
+    for e, c in num.items():
+        slots[(e - low) // step] = c + half
+    raw = b"".join([c.to_bytes(width, "little") for c in slots])
+    return int.from_bytes(raw, "little") - _half_slots(len(slots), width), len(slots)
+
+
+def _kronecker(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The numerators of the product of two numerator maps, by one integer multiply."""
+    if not a or not b:
+        return {}
+    low_a, low_b = next(iter(a)), next(iter(b))
+    step = math.gcd(*[e - low_a for e in a], *[e - low_b for e in b]) or 1
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = (bound.bit_length() + 2 + 7) // 8
+    packed_a, count_a = _pack(a, low_a, step, width)
+    packed_b, count_b = _pack(b, low_b, step, width)
+    count = count_a + count_b - 1
+    size = count * width
+    raw = (packed_a * packed_b + _half_slots(count, width)).to_bytes(size, "little")
+    half, low = 1 << (8 * width - 1), low_a + low_b
+    slots = [int.from_bytes(raw[i:i + width], "little") for i in range(0, size, width)]
+    return {low + step * k: c - half for k, c in enumerate(slots) if c != half}
 
 
 #: The conformal map (z + 1/z)/2 carrying the unit circle onto [-1, 1].

@@ -13,6 +13,8 @@ from ortholeg.cli import main
 GOLDEN_SHA256 = {
     ("verify-identities", "--n-max", "10"):
         "02aff678184cfd2aebed9083261fffe2ebb38831a0ffe6e35e335f64b69659db",
+    ("verify-identities", "--n-max", "25"):
+        "dca2fdac554f4a42e1ccc0e793262f8c3d5b691ee38be535a8d7ec0925eaa876",
     ("factor", "--n", "6"):
         "2b129188d6ac0b2ef8648455a19c1e4e8174892c841a8068a3b236d578c2ca27",
     ("moments", "--n", "8"):
@@ -131,7 +133,7 @@ def test_output_into_missing_directory_exits_two(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify-identities", "--n-max", "51"),
+        ("verify-identities", "--n-max", str(cli.MAX_N_MAX + 1)),
         ("factor", "--n", "251"),
         ("moments", "--n", "251"),
     ],

@@ -109,6 +109,10 @@ def test_opposite_tampers_of_f_and_g_fail_recurrence_form(monkeypatch):
 def test_residual_terms_count_nonzero_coefficients():
     cert = residual_certificate("example", 1, LaurentPoly({4: 1, 0: -1}))
     assert cert.status == "fail" and cert.residual_terms == 2
+    assert cert.detail == "nonzero residual LaurentPoly(-1 + 1*z^4)"
+    cert = residual_certificate("example", 1, LaurentPoly({0: Fraction(-1, 4), 2: Fraction(-3, 4)}))
+    assert cert.status == "fail" and cert.residual_terms == 2
+    assert cert.detail == "nonzero residual LaurentPoly(-1/4 + -3/4*z^2)"
 
 
 # -- the irrational branch of the exact Gram entries ---------------------------

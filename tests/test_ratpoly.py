@@ -202,3 +202,67 @@ def test_substitute_is_composition(a, b):
     outer = a.shift(-a.min_exp)  # a polynomial: no negative exponents
     for z in (F(7, 10), F(-3, 2)):
         assert value(substitute(outer, b), z) == value(outer, value(b, z))
+
+
+# -- Kronecker multiplication: wide coefficients, mixed strides, the slot bound --
+
+
+def _wide(bits, sign, rest):
+    return sign * ((1 << (bits - 1)) | rest % (1 << (bits - 1)))
+
+
+# 100-300-bit integers of both signs, over small or wide denominators, sometimes zero
+wide_coeff = st.one_of(
+    st.builds(lambda top, den: F(top, den),
+              st.builds(_wide, st.integers(100, 300), st.sampled_from((1, -1)),
+                        st.integers(0, 2**300)),
+              st.one_of(st.just(1), st.integers(1, 2**64))),
+    st.just(F(0)),
+)
+strided = st.builds(
+    lambda coeffs, step, low: lp({low + step * i: c for i, c in enumerate(coeffs)}),
+    st.lists(wide_coeff, min_size=1, max_size=12),
+    st.sampled_from((1, 2, 3)),
+    st.integers(min_value=-15, max_value=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strided, strided)
+def test_wide_mixed_stride_products_match_dense_convolution(a, b):
+    assert a * b == dense_product(a, b)
+    assert (-a) * b == -(a * b)
+
+
+def test_single_term_and_negative_exponent_products():
+    wide = _wide(300, -1, 12345)
+    p = lp({-7: F(wide, 3), -1: 5, 5: F(-wide, 7)})
+    for monomial in (lp({-4: wide}), lp({0: F(-1, 9)}), lp({3: 1})):
+        assert p * monomial == dense_product(p, monomial) == monomial * p
+    assert lp({-2: wide}) * lp({-3: -wide}) == lp({-5: -wide * wide})
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("k", (102, 103))
+def test_product_coefficient_at_the_slot_bound(sign, k):
+    # Four terms of -M, M = 2^k - 1: the z^0 coefficient of the product is
+    # +-4 M^2, exactly the bound min(len a, len b) max|a| max|b|, of bit length
+    # 2k + 2.  At k = 102 that bit length plus 2 fills whole bytes, so the slot
+    # has no spare bit; at k = 103 a slot without the 2 margin bits would overflow.
+    m = 2**k - 1
+    a = lp({e: -m for e in range(-3, 5, 2)})
+    b = sign * a
+    product = a * b
+    assert product == dense_product(a, b)
+    assert product.coeff(0) == sign * 4 * m * m
+    assert (4 * m * m).bit_length() == 2 * k + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly)
+def test_unreduced_routes_reach_equal_values(a):
+    half = F(1, 2) * a
+    for same in ((a * 3) * F(1, 3), a * F(6, 2) * F(2, 6), half + half, (a * 7 - a * 5) * F(1, 2),
+                 (a * lp({0: F(4, 3)})) * lp({0: F(3, 4)})):
+        assert same == a
+        assert hash(same) == hash(a)
