@@ -1,10 +1,13 @@
 """The normalized reciprocal Christoffel function K_n and the weighted basis Q_j.
 
 K_n(x) = (1/(n+1)) sum_{k=0}^n (P_k*(x))^2 admits two further equivalent
-forms, both valid for complex x:
+forms, which ``check_kn_forms`` certifies equal in exact arithmetic:
 
 - Christoffel-Darboux: K_n = (P_{n+1}' P_n - P_{n+1} P_n') / 2
 - closed form:         K_n = ((n+1)^2 P_n^2 - (x^2 - 1) P_n'^2) / (2(n+1))
+
+Floating point evaluates the sum form only (``kn_eval``), which is positive
+on [-1, 1].
 
 The weighted basis is Q_j = P_j* / sqrt(K_n); its squares sum to exactly
 n + 1 at every point of [-1, 1], which is the optimal stability factor for
@@ -13,41 +16,26 @@ arcsine-sampled least squares.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .certificates import Certificate, certifies, residual_certificate
-from .legendre import legendre_all, legendre_eval, legendre_exact
+from .legendre import legendre_all, legendre_exact
 from .ratpoly import LaurentPoly
 
 
 def _pstar_kn(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """P_0*(x), ..., P_n*(x) stacked along axis 0, and K_n(x) in sum form."""
-    values = legendre_all(n, x)
-    pstar = np.stack([math.sqrt((2 * k + 1) / 2) * p for k, p in enumerate(values)])
+    pstar = legendre_all(n, x)
+    pstar *= np.sqrt(np.arange(1, 2 * n + 2, 2) / 2).reshape((n + 1,) + (1,) * np.ndim(x))
     return pstar, np.sum(pstar * pstar, axis=0) / (n + 1)
 
 
-def kn_eval(n: int, x, form: str = "sum"):
-    """K_n(x) in one of its three equivalent forms; elementwise on arrays.
-
-    ``sum`` is the numerically safe choice on [-1, 1] (manifestly positive);
-    ``closed_form`` and ``christoffel_darboux`` extend to complex arguments.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if form == "sum":
-        return _pstar_kn(n, x)[1]
-    if form not in ("christoffel_darboux", "closed_form"):
-        raise ValueError("form must be sum, christoffel_darboux or closed_form")
-    pn, dn = legendre_eval(n, x)
-    if form == "christoffel_darboux":
-        pn1, dn1 = legendre_eval(n + 1, x)
-        return 0.5 * (dn1 * pn - pn1 * dn)
-    return ((n + 1) ** 2 * pn * pn - (x * x - 1.0) * dn * dn) / (2 * (n + 1))
+def kn_eval(n: int, x):
+    """K_n(x) in sum form, elementwise on arrays (positive on [-1, 1])."""
+    return _pstar_kn(n, x)[1]
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +81,7 @@ def q_basis_all(n: int, x) -> np.ndarray:
     positive on [-1, 1] in floating point.
     """
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1):
+    if not np.all(np.abs(xs) <= 1):  # also rejects NaN
         raise ValueError("Q basis is defined on [-1, 1]")
     pstar, kn = _pstar_kn(n, xs)
     return pstar / np.sqrt(kn)

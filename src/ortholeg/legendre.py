@@ -1,6 +1,7 @@
 """Classical Legendre polynomials.
 
-Floating evaluation by the forward three-term recurrence, exact monomial
+Floating evaluation by one forward three-term recurrence (``legendre_eval``
+for P_n alone, ``legendre_all`` for the block P_0..P_n), exact monomial
 coefficients, the exact Laurent form of P_n((z + 1/z)/2) on the unit circle,
 certified checks of the recurrence identities, and the exact Legendre-basis
 coefficients of products P_i P_j.
@@ -15,6 +16,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .certificates import Certificate, residual_certificate
 from .ratpoly import JOUKOWSKI, LaurentPoly
 
@@ -22,37 +25,40 @@ _X = LaurentPoly.monomial(1)
 _HALF = Fraction(1, 2)
 
 
-def legendre_eval(n: int, x):
-    """Evaluate (P_n(x), P_n'(x)) simultaneously by forward recurrence.
+def _legendre_rows(n: int, x):
+    """Yield P_0(x), ..., P_n(x) by the forward three-term recurrence.
 
-    Works elementwise on numpy arrays and accepts complex input.  Forward
-    recurrence is stable on [-1, 1] for the degrees used here.
+    (m + 1) P_{m+1} = (2m + 1) x P_m - m P_{m-1}, elementwise on arrays and
+    complex input.  Forward recurrence is stable on [-1, 1] for the degrees
+    used here.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    one = x * 0 + 1.0
+    p_prev = x * 0 + 1.0
+    yield p_prev
     if n == 0:
-        return one, x * 0.0
-    p_prev, d_prev = one, x * 0.0
-    p, d = x * one, one
+        return
+    p = x * p_prev
+    yield p
     for m in range(1, n):
-        p_next = ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
-        d_next = ((2 * m + 1) * (p + x * d) - m * d_prev) / (m + 1)
-        p_prev, d_prev = p, d
-        p, d = p_next, d_next
-    return p, d
+        p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
+        yield p
 
 
-def legendre_all(n_max: int, x) -> list:
-    """Values [P_0(x), ..., P_{n_max}(x)], elementwise on arrays."""
+def legendre_eval(n: int, x):
+    """P_n(x), holding two rows of the recurrence at a time."""
+    for p in _legendre_rows(n, x):
+        pass
+    return p
+
+
+def legendre_all(n_max: int, x) -> np.ndarray:
+    """P_0(x), ..., P_{n_max}(x) as one array of shape (n_max+1,) + shape(x)."""
     if n_max < 0:
         raise ValueError("degree must be non-negative")
-    values = [x * 0 + 1.0]
-    if n_max == 0:
-        return values
-    values.append(x * values[0])
-    for m in range(1, n_max):
-        values.append(((2 * m + 1) * x * values[m] - m * values[m - 1]) / (m + 1))
+    values = np.empty((n_max + 1,) + np.shape(x), dtype=np.result_type(x, float))
+    for k, p in enumerate(_legendre_rows(n_max, x)):
+        values[k] = p
     return values
 
 
@@ -124,19 +130,17 @@ def check_legendre_identities(n_max: int) -> list[Certificate]:
     return certs
 
 
-def _adams(r: int) -> Fraction:
-    # A_r = (1/2)_r / r! = C(2r, r) / 4^r
-    return Fraction(math.comb(2 * r, r), 4**r)
-
-
 @lru_cache(maxsize=None)
 def legendre_product_expand(i: int, j: int) -> tuple[Fraction, ...]:
     """Exact Legendre-basis coefficients (a_0, ..., a_{i+j}) of P_i P_j.
 
     Adams' linearization formula (Adams 1878): with t = i + j - r, the
     coefficient of P_{t-r} is A_{i-r} A_r A_{j-r} / A_t * (2(t-r)+1)/(2t+1)
-    for 0 <= r <= min(i, j), and every other coefficient is zero.  The
-    constant coefficient a_0 equals delta_ij / (2i+1).  Cached: it does not depend on n.
+    for 0 <= r <= min(i, j), and every other coefficient is zero.  Here
+    A_m = C(2m, m) / 4^m, and the powers of 4 cancel because
+    (i-r) + r + (j-r) = t, so each coefficient is one quotient of integers.
+    The constant coefficient a_0 equals delta_ij / (2i+1).  Cached: it does
+    not depend on n.
     """
     if i < 0 or j < 0:
         raise ValueError("degrees must be non-negative")
@@ -144,6 +148,8 @@ def legendre_product_expand(i: int, j: int) -> tuple[Fraction, ...]:
     for r in range(min(i, j) + 1):
         t = i + j - r
         k = t - r
-        coeffs[k] = (_adams(i - r) * _adams(r) * _adams(j - r) / _adams(t)
-                     * Fraction(2 * k + 1, 2 * t + 1))
+        coeffs[k] = Fraction(
+            math.comb(2 * (i - r), i - r) * math.comb(2 * r, r)
+            * math.comb(2 * (j - r), j - r) * (2 * k + 1),
+            math.comb(2 * t, t) * (2 * t + 1))
     return tuple(coeffs)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .christoffel import _pstar_kn
+from .christoffel import _pstar_kn, q_basis_all
 from .factorization import fn_float_coeffs
-from .legendre import legendre_all
+from .legendre import legendre_eval
 
 BASE_POINTS = 64
 MAX_POINTS = 2**20
@@ -96,8 +96,7 @@ def _refine(evaluate, tol: float, rows: int):
 
 def _gram_on_grid(n: int, points: int) -> np.ndarray:
     theta = 2 * np.pi * np.arange(points) / points
-    pstar, kn = _pstar_kn(n, np.cos(theta))
-    q = pstar / np.sqrt(kn)
+    q = q_basis_all(n, np.cos(theta))
     return (q @ q.T) / points
 
 
@@ -156,11 +155,13 @@ def contour_moment_numeric(n: int, k: int) -> complex:
 
     def integrand(z):
         x = 0.5 * (z + 1.0 / z)
-        pk = legendre_all(k, x)[k]
+        pk = legendre_eval(k, x)
         # F_n and its reversal G_n are polynomials in z^2
         fg = np.polyval(coeffs[::-1], z * z) * np.polyval(coeffs, z * z)
         return 2 * (n + 1) * z ** (2 * n - 1) * pk / fg
 
+    # k + 1 rows per point, as when the whole block P_0..P_k was held, so the
+    # grid sizes and values do not move although legendre_eval holds two rows
     return _refine(lambda p: unit_circle_integral(integrand, p), 1e-12, k + 1)[0]
 
 

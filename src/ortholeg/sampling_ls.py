@@ -111,11 +111,13 @@ def fit_least_squares(n: int, batch: SampleBatch, values) -> FitReport:
     by the SVD-backed least-squares solver rather than normal equations to
     avoid squaring the condition number; ``residual_rms`` is the RMS of that
     weighted residual.  Oversampling is required: fewer samples than n + 1
-    coefficients, or a rank-deficient design, is an error.
+    coefficients, non-finite values, or a rank-deficient design, is an error.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (batch.count,):
         raise ValueError("values must match the sample count")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     if batch.count < n + 1:
         raise ValueError("need at least n + 1 samples to fit n + 1 coefficients")
     d = design_matrix(n, batch)
@@ -141,7 +143,7 @@ def fit_least_squares(n: int, batch: SampleBatch, values) -> FitReport:
 def predict(report: FitReport, x):
     """Evaluate the fitted polynomial sum_j c_j P_j*(x) on [-1, 1]."""
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1):
+    if not np.all(np.abs(xs) <= 1):  # also rejects NaN
         raise ValueError("the fit is defined on [-1, 1]")
     result = np.tensordot(report.coefficients, _pstar_kn(report.n, xs)[0], axes=(0, 0))
     if np.ndim(x) == 0:

@@ -1,4 +1,5 @@
-"""K_n in its three forms and the weighted basis Q_j."""
+"""K_n: the exact forms and their certificate, the floating sum form, and
+the weighted basis Q_j."""
 
 import math
 from fractions import Fraction as F
@@ -22,21 +23,18 @@ def test_value_at_zero_degree_one():
     assert kn_eval(1, 0.0) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_sum_form_hand_expansion_degree_one():
+    # (1/2 + 3x^2/2)/2 = (3x^2+1)/4
+    xs = RNG.uniform(-1, 1, 50)
+    assert np.allclose(kn_eval(1, xs), (3 * xs**2 + 1) / 4, atol=1e-15)
+
+
 def test_value_at_one():
     # P_k(1) = 1 forces K_n(1) = (n+1)/2
     for n in (1, 2, 7, 30):
-        for form in ("sum", "christoffel_darboux", "closed_form"):
-            assert kn_eval(n, 1.0, form) == pytest.approx((n + 1) / 2, rel=1e-12)
+        assert kn_eval(n, 1.0) == pytest.approx((n + 1) / 2, rel=1e-12)
     assert kn_eval(1, 1.0) == pytest.approx(1.0)
     assert kn_eval(2, 1.0) == pytest.approx(1.5)
-
-
-def test_closed_form_hand_expansion_degree_one():
-    # (1/4)(4x^2 - (x^2-1)) = (3x^2+1)/4 agrees with the sum form
-    xs = RNG.uniform(-1, 1, 50)
-    closed = kn_eval(1, xs, "closed_form")
-    assert np.allclose(closed, (3 * xs**2 + 1) / 4, atol=1e-15)
-    assert np.allclose(closed, kn_eval(1, xs, "sum"), atol=1e-15)
 
 
 def test_exact_low_degrees():
@@ -49,35 +47,14 @@ def test_exact_forms_agree_to_forty():
         assert check_kn_forms(n).passed
 
 
-def test_modes_agree_at_random_points():
-    xs = RNG.uniform(-1, 1, 200)
-    for n in range(51):
-        sum_vals = kn_eval(n, xs, "sum")
-        cd_vals = kn_eval(n, xs, "christoffel_darboux")
-        closed_vals = kn_eval(n, xs, "closed_form")
-        scale = np.abs(sum_vals)
-        assert np.max(np.abs(cd_vals - sum_vals) / scale) < 1e-11
-        assert np.max(np.abs(closed_vals - sum_vals) / scale) < 1e-11
-
-
-def test_modes_agree_at_complex_points():
-    zs = RNG.uniform(-1, 1, 20) + 1j * RNG.uniform(-1, 1, 20)
-    for n in (1, 4, 9):
-        cd_vals = kn_eval(n, zs, "christoffel_darboux")
-        closed_vals = kn_eval(n, zs, "closed_form")
-        assert np.max(np.abs(cd_vals - closed_vals)) < 1e-11 * np.max(np.abs(cd_vals))
-
-
 def test_positive_on_interval():
     xs = RNG.uniform(-1, 1, 1000)
     for n in range(51):
-        values = kn_eval(n, xs, "sum")
+        values = kn_eval(n, xs)
         assert np.all(values > 0)
 
 
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError):
-        kn_eval(3, 0.5, "chebyshev")
+def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         kn_eval(-1, 0.5)
 
@@ -106,3 +83,8 @@ class TestQBasis:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             q_basis_all(2, 1.5)
+
+    def test_nan_rejected(self):
+        for x in (math.nan, np.array([0.1, math.nan, -0.3])):
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                q_basis_all(3, x)

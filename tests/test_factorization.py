@@ -179,7 +179,7 @@ class TestRoots:
 
         thetas = np.linspace(0, 2 * np.pi, 720, endpoint=False)
         for n in (1, 5, 12, 20):
-            values = kn_eval(n, np.cos(thetas), "sum")
+            values = kn_eval(n, np.cos(thetas))
             assert values.min() >= 0.25  # grid minimum is K_n(0), which is >= 1/4
 
     def test_roots_json_shape(self):

@@ -1,4 +1,5 @@
-"""Legendre evaluation, exact coefficients, circle form, identities, products."""
+"""Legendre evaluation by the one float recurrence, exact coefficients, circle
+form, identities, products."""
 
 import math
 import sys
@@ -7,8 +8,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from ortholeg.christoffel import _pstar_kn
 from ortholeg.legendre import (
     check_legendre_identities,
+    legendre_all,
     legendre_eval,
     legendre_exact,
     legendre_on_circle,
@@ -45,15 +48,45 @@ def test_cold_caches_do_not_recurse_per_degree():
 
 
 def test_eval_degree_two():
-    value, deriv = legendre_eval(2, 0.5)
-    assert value == pytest.approx(-0.125, abs=1e-15)
-    assert deriv == pytest.approx(1.5, abs=1e-15)
+    assert legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
 
 
 def test_eval_at_one_is_one():
     for n in range(51):
-        value, _ = legendre_eval(n, 1.0)
-        assert value == pytest.approx(1.0, abs=1e-12)
+        assert legendre_eval(n, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+_REAL_GRID = np.linspace(-1, 1, 101)
+_COMPLEX_POINTS = 1.1 * np.exp(1j * np.linspace(0, 2 * np.pi, 37))
+
+
+@pytest.mark.parametrize("x", [_REAL_GRID, _COMPLEX_POINTS], ids=["real", "complex"])
+def test_eval_is_last_row_of_block(x):
+    # one recurrence: P_n alone and the block P_0..P_n agree bit for bit
+    for n in range(61):
+        assert np.array_equal(legendre_eval(n, x), legendre_all(n, x)[n])
+
+
+def test_block_shape_and_dtype():
+    assert legendre_all(4, 0.3).shape == (5,)
+    assert legendre_all(4, _REAL_GRID).dtype == np.float64
+    block = legendre_all(4, _COMPLEX_POINTS.reshape(1, -1))
+    assert block.shape == (5, 1, 37) and block.dtype == np.complex128
+    assert np.array_equal(legendre_all(0, _REAL_GRID), np.ones((1, 101)))
+
+
+@pytest.mark.parametrize("x", [_REAL_GRID, 0.3, _COMPLEX_POINTS], ids=["real", "scalar", "complex"])
+def test_pstar_rows_scale_the_block(x):
+    for n in (0, 1, 5, 37):
+        pstar, block = _pstar_kn(n, x)[0], legendre_all(n, x)
+        for k in range(n + 1):
+            assert np.array_equal(pstar[k], math.sqrt((2 * k + 1) / 2) * block[k])
+
+
+def test_negative_degree_rejected():
+    for evaluate in (legendre_eval, legendre_all):
+        with pytest.raises(ValueError):
+            evaluate(-1, 0.5)
 
 
 def test_exact_low_degrees():
@@ -75,28 +108,19 @@ def test_eval_matches_exact_coefficients():
         exact = legendre_exact(n)
         # exact coefficients at the exact binary rational of each sample
         reference = np.array([float(_exact_value(exact, F(x))) for x in xs])
-        value, _ = legendre_eval(n, xs)
+        value = legendre_eval(n, xs)
         # relative to the polynomial scale sup |P_n| = 1 on [-1, 1]
         scale = np.maximum(np.abs(reference), 1.0)
         assert np.max(np.abs(value - reference) / scale) < 1e-12
 
 
-def test_derivative_matches_exact():
-    xs = RNG.uniform(-1, 1, size=50)
-    for n in (2, 7, 20):
-        dexact = legendre_exact(n).diff()
-        _, deriv = legendre_eval(n, xs)
-        reference = np.array([float(_exact_value(dexact, F(x))) for x in xs])
-        assert np.max(np.abs(deriv - reference)) < 1e-12 * max(1.0, np.abs(reference).max())
-
-
 def test_normalized_constant():
     for x in (-0.7, 0.0, 0.3):
-        assert math.sqrt(1 / 2) * legendre_eval(0, x)[0] == pytest.approx(1 / math.sqrt(2))
+        assert math.sqrt(1 / 2) * legendre_eval(0, x) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_normalized_degree_one_at_one():
-    assert math.sqrt(3 / 2) * legendre_eval(1, 1.0)[0] == pytest.approx(math.sqrt(1.5))
+    assert math.sqrt(3 / 2) * legendre_eval(1, 1.0) == pytest.approx(math.sqrt(1.5))
 
 
 def test_normalized_unit_norm_by_gauss_quadrature():
@@ -104,7 +128,7 @@ def test_normalized_unit_norm_by_gauss_quadrature():
     # nodes 0, +-sqrt(3/5); weights 8/9, 5/9.
     nodes = [0.0, math.sqrt(3 / 5), -math.sqrt(3 / 5)]
     weights = [8 / 9, 5 / 9, 5 / 9]
-    integral = sum(w * (math.sqrt(3 / 2) * legendre_eval(1, x)[0]) ** 2
+    integral = sum(w * (math.sqrt(3 / 2) * legendre_eval(1, x)) ** 2
                    for x, w in zip(nodes, weights))
     assert integral == pytest.approx(1.0, abs=1e-14)
 
@@ -150,7 +174,7 @@ class TestOnCircle:
                 cosine = F(a, c)
                 on_circle = _exact_on_circle(p, cosine, F(b, c))
                 assert on_circle == (_exact_value(legendre_exact(n), cosine), 0)
-                direct, _ = legendre_eval(n, float(cosine))
+                direct = legendre_eval(n, float(cosine))
                 assert abs(float(on_circle[0]) - direct) < 1e-12
 
 
@@ -210,8 +234,8 @@ class TestProductExpand:
     def test_expansion_reproduces_product_numerically(self):
         xs = RNG.uniform(-1, 1, size=20)
         for i, j in ((2, 3), (4, 4), (0, 5), (6, 1)):
-            direct = legendre_eval(i, xs)[0] * legendre_eval(j, xs)[0]
+            direct = legendre_eval(i, xs) * legendre_eval(j, xs)
             rebuilt = np.zeros_like(direct)
             for k, a in enumerate(legendre_product_expand(i, j)):
-                rebuilt = rebuilt + float(a) * legendre_eval(k, xs)[0]
+                rebuilt = rebuilt + float(a) * legendre_eval(k, xs)
             assert np.max(np.abs(direct - rebuilt)) < 1e-12

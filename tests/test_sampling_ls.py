@@ -168,6 +168,15 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_least_squares(2, batch, np.zeros(9))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # one bad value would otherwise turn every coefficient into NaN
+        batch = sample_arcsine(10, SEED)
+        values = np.zeros(10)
+        values[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_least_squares(2, batch, values)
+
     def test_deterministic_fit(self):
         def run():
             batch = sample_arcsine(500, 11)
@@ -203,6 +212,13 @@ class TestPredict:
         report = fit_least_squares(1, batch, np.zeros(50))
         with pytest.raises(ValueError):
             predict(report, 1.2)
+
+    def test_nan_rejected(self):
+        batch = sample_arcsine(50, SEED)
+        report = fit_least_squares(1, batch, np.zeros(50))
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                predict(report, x)
 
 
 class TestSerialization:
