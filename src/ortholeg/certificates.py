@@ -1,15 +1,22 @@
 """Pass/fail certificates emitted by the exact identity checks.
 
-A failed check is data, not an exception: callers collect certificates into a
-ledger and decide the exit status at the end.
+A check is a function of ``(n)`` or ``(n, k)`` that returns its outcome: an
+exact ``LaurentPoly`` residual, which passes when it is the zero polynomial,
+or a list of problems, which passes when it is empty.  ``certificate`` turns
+an outcome into a ledger line, and ``certifies`` names the identity a check
+certifies.  A failed check is data, not an exception: callers collect
+certificates into a ledger and decide the exit status at the end.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from .ratpoly import LaurentPoly
+
+Outcome = LaurentPoly | list[str]
 
 
 @dataclass(frozen=True)
@@ -36,53 +43,37 @@ class Certificate:
         }
 
 
-def residual_certificate(
+def certificate(
     identity: str,
     n: int,
-    residual: LaurentPoly,
+    outcome: Outcome,
     k: int | None = None,
 ) -> Certificate:
-    """Certify that an exactly computed residual is the zero polynomial."""
-    if residual.is_zero:
-        return Certificate(identity=identity, n=n, k=k)
-    return Certificate(
-        identity=identity,
-        n=n,
-        k=k,
-        status="fail",
-        residual_terms=sum(1 for _ in residual.terms()),
-        detail=f"nonzero residual {residual!r}",
-    )
+    """Certify that a residual is the zero polynomial, or that no problem was found."""
+    if not outcome:
+        return Certificate(identity, n, k)
+    if isinstance(outcome, LaurentPoly):
+        return Certificate(identity, n, k, status="fail",
+                           residual_terms=sum(1 for _ in outcome.terms()),
+                           detail=f"nonzero residual {outcome!r}")
+    return Certificate(identity, n, k, status="fail", detail="; ".join(outcome))
 
 
-def condition_certificate(
-    identity: str,
-    n: int,
-    ok: bool,
-    detail: str = "",
-) -> Certificate:
-    """Certify a boolean condition established by exact computation."""
-    return Certificate(
-        identity=identity,
-        n=n,
-        status="pass" if ok else "fail",
-        detail=detail,
-    )
-
-
-def certifies(identity: str):
-    """Decorate a check ``check(n)`` or ``check(n, k)`` returning a certificate.
+def certifies(identity: str) -> Callable[[Callable[..., Outcome]], Callable[..., Certificate]]:
+    """Decorate a check ``check(n)`` or ``check(n, k)`` so it returns the certificate
+    of ``identity`` for the residual or the problem list the check returns.
 
     An exact construction the check relies on raises ArithmeticError when it
     fails its own certification; the decorated check reports that as a
-    failing certificate for ``identity`` instead of raising.
+    failing certificate whose detail is the error message, instead of raising.
     """
     def decorate(check):
         @functools.wraps(check)
         def run(n: int, *k: int) -> Certificate:
             try:
-                return check(n, *k)
+                outcome = check(n, *k)
             except ArithmeticError as exc:
-                return Certificate(identity, n, *k, status="fail", detail=str(exc))
+                outcome = [str(exc)]
+            return certificate(identity, n, outcome, *k)
         return run
     return decorate

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificates import Certificate, certifies, residual_certificate
+from .certificates import certifies
 from .legendre import legendre_all, legendre_exact
 from .ratpoly import LaurentPoly
 
@@ -69,9 +69,9 @@ def _kn_exact_cd(n: int) -> LaurentPoly:
 
 
 @certifies("christoffel-forms-agree")
-def check_kn_forms(n: int) -> Certificate:
+def check_kn_forms(n: int) -> LaurentPoly:
     """Certify that the sum, Christoffel-Darboux and closed forms of K_n agree exactly."""
-    return residual_certificate("christoffel-forms-agree", n, kn_exact(n) - _kn_exact_cd(n))
+    return kn_exact(n) - _kn_exact_cd(n)
 
 
 def q_basis_all(n: int, x) -> np.ndarray:

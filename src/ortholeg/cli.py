@@ -258,6 +258,8 @@ def _validate(args) -> None:
     if n is not None and count is not None and count * (n + 1) > MAX_DESIGN:
         raise ValueError(f"--count times (--n + 1) must be at most {MAX_DESIGN}")
     if args.output is not None:
+        if not args.output:
+            raise ValueError("--output must not be empty")
         if os.path.isdir(args.output):
             raise ValueError(f"--output is a directory: {args.output}")
         if not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificates import Certificate, certifies, condition_certificate, residual_certificate
+from .certificates import certifies
 from .christoffel import kn_exact
 from .legendre import legendre_on_circle
 from .ratpoly import JOUKOWSKI, LaurentPoly, substitute
@@ -118,53 +118,48 @@ def factor_pair(n: int) -> FactorPair:
     return FactorPair.build(n)
 
 
-def check_fn_constructions(n: int) -> Certificate:
+@certifies("factor-closed-coefficients")
+def check_fn_constructions(n: int) -> LaurentPoly:
     """Certify derivative definition == closed coefficients.
 
     The hypergeometric form has its own certificate, ``hypergeometric_check``.
     """
-    residual = fn_from_definition(n) - fn_closed_coeffs(n)
-    return residual_certificate("factor-closed-coefficients", n, residual)
+    return fn_from_definition(n) - fn_closed_coeffs(n)
 
 
-def hypergeometric_check(n: int) -> Certificate:
+@certifies("factor-hypergeometric")
+def hypergeometric_check(n: int) -> LaurentPoly | list[str]:
     """Certify the hypergeometric construction, including its leading coefficient 2n+1."""
     if n < 1:
         raise ValueError("n must be at least 1")
     hyper = fn_hypergeometric(n)
-    cert = residual_certificate("factor-hypergeometric", n, hyper - fn_from_definition(n))
+    residual = hyper - fn_from_definition(n)
+    if residual:
+        return residual
     # the unscaled series starts at 1, so its leading coefficient is F_n's top over F_n(0)
     leading = hyper.coeff(2 * n) / hyper.coeff(0)
-    if cert.passed and leading != 2 * n + 1:
-        return Certificate(
-            "factor-hypergeometric", n, status="fail",
-            detail=f"unscaled leading coefficient {leading} != {2 * n + 1}",
-        )
-    return cert
+    return [] if leading == 2 * n + 1 else [f"unscaled leading coefficient {leading} != {2 * n + 1}"]
 
 
 @certifies("factor-reversal")
-def check_reversal(n: int) -> Certificate:
+def check_reversal(n: int) -> list[str]:
     """Certify both G_n constructions and G_n(0) = (2n+1) F_n(0)."""
     pair = factor_pair(n)
-    ok = sorted(c for _, c in pair.f.terms()) == sorted(c for _, c in pair.g.terms())
-    return condition_certificate(
-        "factor-reversal", n, ok,
-        detail="" if ok else "coefficient multisets differ",
-    )
+    if sorted(c for _, c in pair.f.terms()) != sorted(c for _, c in pair.g.terms()):
+        return ["coefficient multisets differ"]
+    return []
 
 
 @certifies("fejer-riesz")
-def check_fejer_riesz(n: int) -> Certificate:
+def check_fejer_riesz(n: int) -> LaurentPoly:
     """Certify K_n(J(z)) = F_n(z) F_n(1/z) / (2(n+1)) exactly."""
     f = fn_from_definition(n)
     kj = substitute(kn_exact(n), JOUKOWSKI)
-    residual = kj - Fraction(1, 2 * (n + 1)) * f * f.recip()
-    return residual_certificate("fejer-riesz", n, residual)
+    return kj - Fraction(1, 2 * (n + 1)) * f * f.recip()
 
 
 @certifies("factor-recurrence-form")
-def check_fn_gn_alt(n: int) -> Certificate:
+def check_fn_gn_alt(n: int) -> LaurentPoly:
     """Certify the recurrence forms of F_n and G_n.
 
     Multiplied through by (z^2 - 1) to stay polynomial:
@@ -185,10 +180,11 @@ def check_fn_gn_alt(n: int) -> Certificate:
     rhs_g = (LaurentPoly({2: 1, 0: -(2 * n + 1)}) * ln + 2 * n * z * ln1).shift(n)
     res_f = x2m1 * pair.f - rhs_f
     res_g = x2m1 * pair.g - rhs_g
-    return residual_certificate("factor-recurrence-form", n, res_f or res_g)
+    return res_f or res_g
 
 
-def check_ode(n: int) -> Certificate:
+@certifies("factor-ode")
+def check_ode(n: int) -> LaurentPoly:
     """Certify z(1-z^2) F_n'' + 2((n-2)z^2 - n) F_n' + 6nz F_n = 0.
 
     This is the second-order ODE satisfied by F_n, cleared of its 1/z
@@ -202,7 +198,7 @@ def check_ode(n: int) -> Certificate:
     term1 = LaurentPoly({1: 1, 3: -1}) * ddf
     term2 = LaurentPoly({2: 2 * (n - 2), 0: -2 * n}) * df
     term3 = LaurentPoly.monomial(1, 6 * n) * f
-    return residual_certificate("factor-ode", n, term1 + term2 + term3)
+    return term1 + term2 + term3
 
 
 # -- root localization -------------------------------------------------------

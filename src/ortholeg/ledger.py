@@ -1,11 +1,12 @@
 """Assembly of the full exact-certificate ledger.
 
-Certificate order per degree: five Legendre identities, agreement of the
-three K_n forms, the spectral factorization, the recurrence forms of the
-factors, their ODE, the hypergeometric and closed-coefficient constructions,
-coefficient reversal, the partial-fraction identities for every admissible
-index, the support and leading-coefficient facts, the exact moments, and the
-exact weighted orthogonality.
+Certificate order: first the five Legendre identities for every degree
+1..n_max, then one block per degree: agreement of the three K_n forms, the
+spectral factorization, the recurrence forms of the factors, their ODE, the
+hypergeometric and closed-coefficient constructions, coefficient reversal,
+the partial-fraction identities for every admissible index, the support and
+leading-coefficient facts, the exact moments, and the exact weighted
+orthogonality.
 """
 
 from __future__ import annotations

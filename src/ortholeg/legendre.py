@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificates import Certificate, residual_certificate
+from .certificates import Certificate, certificate
 from .ratpoly import JOUKOWSKI, LaurentPoly
 
 _X = LaurentPoly.monomial(1)
@@ -122,11 +122,11 @@ def check_legendre_identities(n_max: int) -> list[Certificate]:
         drec = (n + 1) * dp[n + 1] - (2 * n + 1) * (p[n] + _X * dp[n]) + n * dp[n - 1]
         christ = x2m1 * dp[n] - n * (_X * p[n] - p[n - 1])
         ichrist = (2 * n + 1) * p[n] - (dp[n + 1] - dp[n - 1])
-        certs.append(residual_certificate("legendre-christoffel-darboux", n, cd))
-        certs.append(residual_certificate("legendre-three-term", n, rec))
-        certs.append(residual_certificate("legendre-three-term-derivative", n, drec))
-        certs.append(residual_certificate("legendre-derivative-relation", n, christ))
-        certs.append(residual_certificate("legendre-derivative-difference", n, ichrist))
+        certs.append(certificate("legendre-christoffel-darboux", n, cd))
+        certs.append(certificate("legendre-three-term", n, rec))
+        certs.append(certificate("legendre-three-term-derivative", n, drec))
+        certs.append(certificate("legendre-derivative-relation", n, christ))
+        certs.append(certificate("legendre-derivative-difference", n, ichrist))
     return certs
 
 

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .certificates import Certificate, certifies, condition_certificate, residual_certificate
+from .certificates import certifies
 from .factorization import FactorPair, factor_pair
 from .legendre import legendre_on_circle, legendre_product_expand
 from .ratpoly import JOUKOWSKI, LaurentPoly
@@ -56,30 +56,30 @@ def build_abcd(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]
     return tuple(u[m] for m in range(2 * n + 1)), tuple(v[m] for m in range(2 * n + 1))
 
 
-def _check_split(identity: str, n: int, m: int, k: int) -> Certificate:
+def _split_residual(n: int, m: int, k: int) -> LaurentPoly:
     # 2(n+1) z^{2n-1} P_m(J(z)) = U_m G_n + V_m F_n
     if not 0 <= k <= n:
         raise ValueError("k must satisfy 0 <= k <= n")
     u, v = build_abcd(n)
     pair = factor_pair(n)
     target = (2 * (n + 1)) * legendre_on_circle(m).shift(2 * n - 1)
-    residual = target - (u[m] * pair.g + v[m] * pair.f)
-    return residual_certificate(identity, n, residual, k=k)
+    return target - (u[m] * pair.g + v[m] * pair.f)
 
 
 @certifies("pfd-plus")
-def check_pfd_plus(n: int, k: int) -> Certificate:
+def check_pfd_plus(n: int, k: int) -> LaurentPoly:
     """Certify 2(n+1) z^{2n-1} P_{n+k}(J) = U_{n+k} G_n + V_{n+k} F_n (A_k, B_k), 0 <= k <= n."""
-    return _check_split("pfd-plus", n, n + k, k)
+    return _split_residual(n, n + k, k)
 
 
 @certifies("pfd-minus")
-def check_pfd_minus(n: int, k: int) -> Certificate:
+def check_pfd_minus(n: int, k: int) -> LaurentPoly:
     """Certify 2(n+1) z^{2n-1} P_{n-k}(J) = U_{n-k} G_n + V_{n-k} F_n (C_k, D_k), 0 <= k <= n."""
-    return _check_split("pfd-minus", n, n - k, k)
+    return _split_residual(n, n - k, k)
 
 
-def check_support(n: int) -> Certificate:
+@certifies("pfd-support")
+def check_support(n: int) -> list[str]:
     """Certify the support facts the moment computation relies on.
 
     Every U_m and V_m with 1 <= m <= 2n-1 and V_{2n} are genuine
@@ -94,11 +94,11 @@ def check_support(n: int) -> Certificate:
     for name, p in (("U", u[0]), ("V", v[0])):
         if p.min_exp != -1:
             problems.append(f"{name}_0 min exponent != -1")
-    return condition_certificate("pfd-support", n, not problems, detail="; ".join(problems))
+    return problems
 
 
 @certifies("pfd-leading-coefficient")
-def leading_coefficient_checks(n: int) -> Certificate:
+def leading_coefficient_checks(n: int) -> list[str]:
     """Certify the two coefficient identities behind the m = 0 moment.
 
     (i) the z^{2n-1} coefficient of U_0 equals the leading coefficient of
@@ -115,7 +115,7 @@ def leading_coefficient_checks(n: int) -> Certificate:
         problems.append(f"z^-1 coefficient of V_0 is {v[0].coeff(-1)}, expected {pair.g.coeff(0)}")
     if v[2 * n].coeff(-1) != 0:
         problems.append(f"V_{2 * n} unexpectedly carries a z^-1 term")
-    return condition_certificate("pfd-leading-coefficient", n, not problems, detail="; ".join(problems))
+    return problems
 
 
 def _split_residues(u: LaurentPoly, v: LaurentPoly, pair: FactorPair) -> Fraction:
@@ -164,14 +164,11 @@ def moments_table(n: int) -> tuple[Fraction, ...]:
 
 
 @certifies("moment-values")
-def check_moments(n: int) -> Certificate:
+def check_moments(n: int) -> list[str]:
     """Certify moments_table(n)[k] == 2 delta_{k0} for every k = 0..2n."""
     bad = [k for k, m in enumerate(moments_table(n))
            if m != (2 if k == 0 else 0)]
-    return condition_certificate(
-        "moment-values", n, not bad,
-        detail="" if not bad else f"unexpected moments at k={bad}",
-    )
+    return [f"unexpected moments at k={bad}"] if bad else []
 
 
 def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
@@ -199,7 +196,7 @@ def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
 
 
 @certifies("weighted-orthogonality")
-def check_orthogonality(n: int) -> Certificate:
+def check_orthogonality(n: int) -> list[str]:
     """Certify the full (n+1) x (n+1) exact Gram matrix is the identity."""
     bad = []
     for i in range(n + 1):
@@ -207,7 +204,4 @@ def check_orthogonality(n: int) -> Certificate:
             value = orthogonality_exact(n, i, j)
             if value != (1 if i == j else 0):
                 bad.append((i, j))
-    return condition_certificate(
-        "weighted-orthogonality", n, not bad,
-        detail="" if not bad else f"unexpected inner products at {bad}",
-    )
+    return [f"unexpected inner products at {bad}"] if bad else []

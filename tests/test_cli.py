@@ -130,6 +130,16 @@ def test_output_into_missing_directory_exits_two(tmp_path, capsys, monkeypatch):
     assert main(["verify-identities", "--n-max", "2", "--output", str(tmp_path)]) == 2
 
 
+def test_empty_output_exits_two_before_running(capsys, monkeypatch):
+    def must_not_run(n_max):
+        raise AssertionError("the ledger ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "identity_ledger", must_not_run)
+    assert main(["verify-identities", "--n-max", "2", "--output", ""]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --output must not be empty\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,11 +2,13 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ortholeg
 from ortholeg import christoffel, factorization, partial_fractions
-from ortholeg.certificates import residual_certificate
+from ortholeg.certificates import certificate
 from ortholeg.cli import main
 from ortholeg.ledger import identity_ledger
 from ortholeg.ratpoly import LaurentPoly
@@ -107,12 +109,57 @@ def test_opposite_tampers_of_f_and_g_fail_recurrence_form(monkeypatch):
 
 
 def test_residual_terms_count_nonzero_coefficients():
-    cert = residual_certificate("example", 1, LaurentPoly({4: 1, 0: -1}))
+    cert = certificate("example", 1, LaurentPoly({4: 1, 0: -1}))
     assert cert.status == "fail" and cert.residual_terms == 2
     assert cert.detail == "nonzero residual LaurentPoly(-1 + 1*z^4)"
-    cert = residual_certificate("example", 1, LaurentPoly({0: Fraction(-1, 4), 2: Fraction(-3, 4)}))
+    cert = certificate("example", 1, LaurentPoly({0: Fraction(-1, 4), 2: Fraction(-3, 4)}))
     assert cert.status == "fail" and cert.residual_terms == 2
     assert cert.detail == "nonzero residual LaurentPoly(-1/4 + -3/4*z^2)"
+    for outcome in (LaurentPoly.zero(), []):
+        cert = certificate("example", 1, outcome)
+        assert cert.passed and cert.residual_terms == 0 and cert.detail == ""
+    cert = certificate("example", 1, ["a", "b"])
+    assert cert.status == "fail" and cert.residual_terms == 0
+    assert cert.detail == "a; b"
+
+
+# -- every per-degree check fails cleanly when a construction it reads raises --
+
+
+def _raise_tampered(*args):
+    raise ArithmeticError("tampered")
+
+
+@pytest.mark.parametrize("module, construction, check, identity", [
+    (factorization, "fn_closed_coeffs", "check_fn_constructions", "factor-closed-coefficients"),
+    (factorization, "fn_hypergeometric", "hypergeometric_check", "factor-hypergeometric"),
+    (factorization, "fn_from_definition", "check_ode", "factor-ode"),
+    (partial_fractions, "build_abcd", "check_support", "pfd-support"),
+])
+def test_raising_construction_fails_its_check(module, construction, check, identity,
+                                              monkeypatch, clean_caches, capsys, tmp_path):
+    monkeypatch.setattr(module, construction, _raise_tampered)
+    cert = getattr(module, check)(2)
+    assert (cert.identity, cert.n, cert.k) == (identity, 2, None)
+    assert cert.status == "fail" and cert.detail == "tampered"
+    out = tmp_path / "ledger.jsonl"
+    assert main(["verify-identities", "--n-max", "2", "--output", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(c["n"], c["status"], c["detail"]) for c in lines if c["identity"] == identity] == [
+        (1, "fail", "tampered"), (2, "fail", "tampered")]
+
+
+# -- one identity, one place ---------------------------------------------------
+
+
+def test_each_identity_is_named_once_in_the_package():
+    sources = "".join(path.read_text(encoding="utf-8")
+                      for path in sorted(Path(ortholeg.__file__).parent.glob("*.py")))
+    identities = {c.identity for c in identity_ledger(2)}
+    assert len(identities) == 18
+    counts = {name: sources.count(f'"{name}"') for name in identities}
+    assert counts == dict.fromkeys(identities, 1)
 
 
 # -- the irrational branch of the exact Gram entries ---------------------------
