@@ -5,8 +5,9 @@ together with machine-readable outputs.  All flags are long-form; re-running
 a command with identical flags produces byte-identical artifacts (seeded,
 counter-based randomness and deterministic serialization throughout).
 
-Exit codes: 0 when every emitted certificate passes, 1 when any check fails,
-2 for invalid configuration or an --output that cannot be written.
+Exit codes: 0 when every emitted certificate passes, 1 when any check fails
+(an exact construction that fails its own check included), 2 for invalid
+configuration or an --output that cannot be written.
 """
 
 from __future__ import annotations
@@ -276,6 +277,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # an exact construction failed its own check outside any certificate
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if ok else 1
 
 

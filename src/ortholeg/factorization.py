@@ -232,7 +232,7 @@ def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Simultaneous Aberth refinement of all roots of a monic polynomial.
 
     ``coeffs`` are monic coefficients, highest power first.  Converges to
-    residuals near machine precision from companion-matrix starting points,
+    residuals near machine precision from ``np.roots`` starting points,
     well within the 60 sweeps allowed.
     """
     deriv = np.polyder(coeffs)
@@ -252,25 +252,20 @@ def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def fn_roots(n: int) -> RootReport:
     """Compute and certify the 2n roots of F_n.
 
-    F_n is even, so the companion matrix of the degree-n polynomial in
-    w = z^2 is solved first and the w-roots are polished by simultaneous
-    Aberth iteration; the z-roots are then the +- square roots, preserving
-    the pair structure exactly.  Each root carries its residual |F_n(z)|
-    against ``1e-10 * (n+1)`` (F_n has positive coefficients, so
-    n + 1 = F_n(1) bounds it on the closed disk).
+    F_n is even, so ``np.roots`` first solves the degree-n polynomial in
+    w = z^2 and the w-roots are polished by simultaneous Aberth iteration;
+    the z-roots are then the +- square roots, preserving the pair structure
+    exactly.  Each root carries its residual |F_n(z)| against
+    ``1e-10 * (n+1)`` (F_n has positive coefficients, so n + 1 = F_n(1)
+    bounds it on the closed disk).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     even = fn_float_coeffs(n)[::-1]
     monic = even / even[0]
-    companion = np.zeros((n, n), dtype=complex)
-    companion[0, :] = -monic[1:]
-    if n > 1:
-        companion[np.arange(1, n), np.arange(0, n - 1)] = 1.0
-    w_roots = np.linalg.eigvals(companion)
-    w_roots = _aberth_polish(monic, w_roots)
+    w_roots = _aberth_polish(monic, np.roots(monic))
     zs = []
-    for w in sorted(w_roots, key=lambda v: (v.real, v.imag)):
+    for w in w_roots:
         s = cmath.sqrt(w)
         zs += [s, -s]
     zs = np.array(zs)

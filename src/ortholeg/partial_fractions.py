@@ -126,7 +126,7 @@ def _split_residues(u: LaurentPoly, v: LaurentPoly, pair: FactorPair) -> Fractio
     coefficient extraction:
 
       - polynomial p over F_n: sum of residues = [z^{2n-1}] p / lc(F_n),
-      - c/(z F_n): (c/F_n(0)) (1 - [z^{2n-1}]((F_n - F_n(0))/z) / lc(F_n)),
+      - c/(z F_n): 0, its poles all lie inside and deg(z F_n) >= 2 leaves no residue at infinity,
       - polynomial over G_n: 0 (all zeros outside the closed disk),
       - d/(z G_n): d / G_n(0).
     """
@@ -134,15 +134,9 @@ def _split_residues(u: LaurentPoly, v: LaurentPoly, pair: FactorPair) -> Fractio
     for w in (u, v):
         if not w.is_zero and w.min_exp < -1:
             raise ArithmeticError("family member has exponents below z^-1")
-    lc_f = pair.f.coeff(2 * n)
-    c = u.coeff(-1)
-    p = u - LaurentPoly.monomial(-1, c)
-    if not p.is_zero and p.degree > 2 * n - 1:
+    if not u.is_zero and u.degree > 2 * n - 1:
         raise ArithmeticError("numerator degree too large for the residue rule")
-    total = p.coeff(2 * n - 1) / lc_f
-    if c:
-        shifted = (pair.f - LaurentPoly({0: pair.f.coeff(0)})).shift(-1)
-        total += (c / pair.f.coeff(0)) * (1 - shifted.coeff(2 * n - 1) / lc_f)
+    total = u.coeff(2 * n - 1) / pair.f.coeff(2 * n)
     d = v.coeff(-1)
     if d:
         total += d / pair.g.coeff(0)

@@ -110,8 +110,11 @@ def fit_least_squares(n: int, batch: SampleBatch, values) -> FitReport:
     Solves D c ~ values / sqrt(K_n) with the design matrix D of the Q basis,
     by the SVD-backed least-squares solver rather than normal equations to
     avoid squaring the condition number; ``residual_rms`` is the RMS of that
-    weighted residual.  Oversampling is required: fewer samples than n + 1
-    coefficients, non-finite values, or a rank-deficient design, is an error.
+    weighted residual.  The stability diagnostics ``gram_deviation`` and
+    ``condition_estimate`` come from the solver's singular values of D, so
+    no Gram matrix is formed.  Oversampling is required: fewer samples than
+    n + 1 coefficients, non-finite values, or a rank-deficient design, is an
+    error.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (batch.count,):
@@ -127,8 +130,8 @@ def fit_least_squares(n: int, batch: SampleBatch, values) -> FitReport:
     if rank < n + 1:
         raise ValueError("design matrix is rank-deficient")
     residual_rms = float(np.linalg.norm(d @ coeffs - scaled) / np.sqrt(batch.count))
-    gram = (d.T @ d) / batch.count
-    deviation = float(np.linalg.norm(gram - np.eye(n + 1), 2))
+    # the eigenvalues of G = D^T D / count are sv^2 / count, so this is ||G - I||_2
+    deviation = float(np.max(np.abs(sv**2 / batch.count - 1.0)))
     return FitReport(
         n=n,
         coefficients=coeffs,

@@ -152,7 +152,8 @@ class TestRoots:
             assert abs(r.modulus - 5 ** (-0.25)) < 1e-12
 
     def test_certified_inside_disk(self):
-        for n in range(1, 21):
+        # 200 tops the benchmark's numeric degrees and 800 is the CLI cap
+        for n in [*range(1, 21), 200, 800]:
             report = fn_roots(n)
             assert len(report.roots) == 2 * n
             assert report.max_modulus < 1.0
@@ -170,8 +171,16 @@ class TestRoots:
                       for k in range(n, -1, -1)]
             w_roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
             oracle_moduli = sorted(float(mpmath.sqrt(abs(w))) for w in w_roots for _ in (0, 1))
-            ours = sorted(r.modulus for r in fn_roots(n).roots)
+            report = fn_roots(n)
+            ours = sorted(r.modulus for r in report.roots)
             assert np.max(np.abs(np.array(ours) - np.array(oracle_moduli))) < 1e-10
+            # as a set, the complex roots match the oracle's +- square roots, pairing included
+            oracle = np.array([complex(s * mpmath.sqrt(w)) for w in w_roots for s in (1, -1)])
+            zs = np.array([complex(r.re, r.im) for r in report.roots])
+            assert len(zs) == len(oracle)
+            distances = np.abs(zs[:, None] - oracle[None, :])
+            assert distances.min(axis=0).max() < 1e-10
+            assert distances.min(axis=1).max() < 1e-10
 
     def test_kernel_positive_on_circle(self):
         # K_n(J(z)) cannot vanish for |z| = 1: grid minimum stays well positive

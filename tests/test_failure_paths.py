@@ -66,6 +66,14 @@ def test_tampered_factor_exits_one(tampered_fn, tmp_path):
     assert "fail" in statuses and "pass" in statuses
 
 
+@pytest.mark.parametrize("command", ["factor", "moments"])
+def test_tampered_factor_fails_factor_and_moments_cleanly(command, tampered_fn, capsys):
+    assert main([command, "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: F_3(0) has the wrong value\n"
+
+
 def test_tampered_closed_form_fails_kn_forms(monkeypatch, clean_caches):
     original = christoffel._kn_exact_closed
     monkeypatch.setattr(christoffel, "_kn_exact_closed", lambda n: original(n) + LaurentPoly.one())

@@ -152,11 +152,18 @@ class TestFit:
 
     def test_report_fields(self):
         batch = sample_arcsine(200, 3)
-        report = fit_least_squares(2, batch, np.exp(batch.points))
-        assert report.sample_count == 200
-        assert report.seed == 3
-        assert report.gram_deviation >= 0
-        assert report.condition_estimate >= 1
+        for n in (2, 20, 80):
+            report = fit_least_squares(n, batch, np.exp(batch.points))
+            assert report.sample_count == 200
+            assert report.seed == 3
+            assert report.gram_deviation >= 0
+            assert report.condition_estimate >= 1
+            # the diagnostics read the solver's singular values; check them against
+            # the Gram matrix and the design matrix directly
+            gram_norm = np.linalg.norm(empirical_gram(n, batch) - np.eye(n + 1), 2)
+            assert abs(report.gram_deviation - gram_norm) < 1e-12
+            sv = np.linalg.svd(design_matrix(n, batch), compute_uv=False)
+            assert abs(report.condition_estimate - sv.max() / sv.min()) < 1e-12 * report.condition_estimate
 
     def test_undersampling_rejected(self):
         batch = sample_arcsine(3, SEED)
