@@ -185,7 +185,7 @@ def _cmd_moments(args) -> tuple[str, bool]:
 def _cmd_gram(args) -> tuple[str, bool]:
     batch = sampling_ls.sample_arcsine(args.count, args.seed)
     gram = sampling_ls.empirical_gram(args.n, batch)
-    deviation = float(np.linalg.norm(gram - np.eye(args.n + 1), 2))
+    deviation = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1.0)))
     if args.format == "csv":
         return quadrature_verify.gram_to_csv(gram), True
     if args.format == "text":
@@ -220,7 +220,8 @@ def _cmd_fit(args) -> tuple[str, bool]:
         return sampling_ls.predictions_to_csv(xs, sampling_ls.predict(report, xs)), True
     if args.format == "text":
         return (f"n={report.n} count={report.sample_count} seed={report.seed} "
-                f"residual rms={report.residual_rms:.6e}\n"), True
+                f"residual rms={report.residual_rms:.6e} "
+                f"stable={'yes' if report.stable else 'no'}\n"), True
     payload = report.to_json()
     payload["target"] = "exp(x)"
     return _json_text(payload), True

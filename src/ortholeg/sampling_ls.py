@@ -24,6 +24,15 @@ import numpy as np
 from .christoffel import _pstar_kn, q_basis_all
 
 GENERATOR_NAME = "philox4x64"
+# The normal equations G c = D^T y / count lose accuracy like kappa(G) * eps,
+# with kappa(G) = kappa(D)^2 (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 20).  Up to this gate that forward error stays near 2e-10;
+# a larger kappa(G), or a G that is not positive definite, goes to the
+# SVD-backed solver instead.
+MAX_GRAM_CONDITION = 1e6
+# Cohen, Davenport & Leviatan (2013): the weighted least-squares fit is stable
+# on the event ||G - I||_2 <= 1/2.
+STABILITY_BOUND = 0.5
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,11 @@ class FitReport:
     def __post_init__(self):
         self.coefficients.setflags(write=False)
 
+    @property
+    def stable(self) -> bool:
+        """The Cohen-Davenport-Leviatan stability event ||G - I||_2 <= 1/2."""
+        return self.gram_deviation <= STABILITY_BOUND
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -99,6 +113,7 @@ class FitReport:
             "residual_rms": self.residual_rms,
             "gram_deviation": self.gram_deviation,
             "condition_estimate": self.condition_estimate,
+            "stable": self.stable,
             "sample_count": self.sample_count,
             "seed": self.seed,
         }
@@ -107,14 +122,20 @@ class FitReport:
 def fit_least_squares(n: int, batch: SampleBatch, values) -> FitReport:
     """Fit values ~ sum_j c_j P_j*(x) by Christoffel-weighted least squares.
 
-    Solves D c ~ values / sqrt(K_n) with the design matrix D of the Q basis,
-    by the SVD-backed least-squares solver rather than normal equations to
-    avoid squaring the condition number; ``residual_rms`` is the RMS of that
-    weighted residual.  The stability diagnostics ``gram_deviation`` and
-    ``condition_estimate`` come from the solver's singular values of D, so
-    no Gram matrix is formed.  Oversampling is required: fewer samples than
-    n + 1 coefficients, non-finite values, or a rank-deficient design, is an
-    error.
+    Solves D c ~ values / sqrt(K_n) with the design matrix D of the Q basis
+    through its normal equations G c = D^T (values / sqrt(K_n)) / count, where
+    G = D^T D / count is the empirical Gram matrix whose expectation is the
+    identity.  One ``eigvalsh(G)`` gives both diagnostics: ``gram_deviation``
+    = max |lambda - 1| = ||G - I||_2 and ``condition_estimate`` =
+    sqrt(lambda_max / lambda_min) = kappa(D).  The normal equations are solved
+    only while kappa(G) <= ``MAX_GRAM_CONDITION``, which bounds their forward
+    error near kappa(G) * eps; a worse-conditioned or singular G (for example
+    a count close to n + 1) falls back to the SVD-backed least-squares
+    solver, whose singular values sigma give the diagnostics through
+    lambda = sigma^2 / count.
+    ``residual_rms`` is the RMS of the weighted residual D c - values /
+    sqrt(K_n).  Oversampling is required: fewer samples than n + 1
+    coefficients, non-finite values, or a rank-deficient design, is an error.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (batch.count,):
@@ -126,18 +147,24 @@ def fit_least_squares(n: int, batch: SampleBatch, values) -> FitReport:
     d = design_matrix(n, batch)
     # 1/sqrt(K_n) = Q_0 / P_0*, and P_0* = 1/sqrt(2)
     scaled = values * d[:, 0] * math.sqrt(2)
-    coeffs, _, rank, sv = np.linalg.lstsq(d, scaled, rcond=None)
-    if rank < n + 1:
-        raise ValueError("design matrix is rank-deficient")
+    gram = (d.T @ d) / batch.count
+    lam = np.linalg.eigvalsh(gram)
+    if lam[0] > 0 and lam[-1] <= MAX_GRAM_CONDITION * lam[0]:
+        coeffs = np.linalg.solve(gram, (d.T @ scaled) / batch.count)
+    else:
+        coeffs, _, rank, sv = np.linalg.lstsq(d, scaled, rcond=None)
+        if rank < n + 1:
+            raise ValueError("design matrix is rank-deficient")
+        # the eigenvalues of G, ascending, without the relative error that
+        # eigvalsh leaves in the smallest ones
+        lam = sv[::-1] ** 2 / batch.count
     residual_rms = float(np.linalg.norm(d @ coeffs - scaled) / np.sqrt(batch.count))
-    # the eigenvalues of G = D^T D / count are sv^2 / count, so this is ||G - I||_2
-    deviation = float(np.max(np.abs(sv**2 / batch.count - 1.0)))
     return FitReport(
         n=n,
         coefficients=coeffs,
         residual_rms=residual_rms,
-        gram_deviation=deviation,
-        condition_estimate=float(sv[0] / sv[-1]),
+        gram_deviation=float(np.max(np.abs(lam - 1.0))),
+        condition_estimate=math.sqrt(lam[-1] / lam[0]),
         sample_count=batch.count,
         seed=batch.seed,
     )

@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ortholeg import cli
@@ -101,6 +106,34 @@ def test_fit_json(tmp_path):
     assert payload["target"] == "exp(x)"
     assert len(payload["coefficients"]) == 5
     assert payload["residual_rms"] >= 0
+
+
+def test_fit_reports_stability(tmp_path):
+    code, text = run(tmp_path, "fit", "--n", "4", "--count", "200", "--seed", "1")
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["stable"] is (payload["gram_deviation"] <= 0.5)
+    code, text = run(tmp_path, "fit", "--n", "4", "--count", "200", "--seed", "1", "--format", "text")
+    assert code == 0
+    assert text.rstrip("\n").endswith(" stable=" + ("yes" if payload["stable"] else "no"))
+
+
+def test_gram_deviation_is_spectral_norm(tmp_path):
+    code, text = run(tmp_path, "gram", "--n", "10", "--count", "2000", "--seed", "42")
+    assert code == 0
+    payload = json.loads(text)
+    gram = np.array(payload["gram"])
+    assert abs(payload["deviation"] - np.linalg.norm(gram - np.eye(11), 2)) < 1e-12
+
+
+def test_import_does_not_load_scipy():
+    # scipy is installed but unused: importing it would cost every command
+    # start-up time and resident memory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ortholeg, ortholeg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_invalid_configuration_exits_two(tmp_path):

@@ -8,6 +8,8 @@ import pytest
 from ortholeg.christoffel import _pstar_kn
 from ortholeg.sampling_ls import (
     GENERATOR_NAME,
+    MAX_GRAM_CONDITION,
+    STABILITY_BOUND,
     SampleBatch,
     arcsine_from_uniform,
     design_matrix,
@@ -164,6 +166,56 @@ class TestFit:
             assert abs(report.gram_deviation - gram_norm) < 1e-12
             sv = np.linalg.svd(design_matrix(n, batch), compute_uv=False)
             assert abs(report.condition_estimate - sv.max() / sv.min()) < 1e-12 * report.condition_estimate
+
+    @pytest.mark.parametrize("n", [10, 80, 160])
+    @pytest.mark.parametrize("oversampling", [3.0, 12.0])
+    def test_normal_equations_agree_with_lstsq(self, n, oversampling):
+        # the count c (n+1) ln(n+1) of the benchmark's fits, where kappa(G) stays
+        # in single digits and the normal equations are solved; |x| keeps the
+        # residual far above roundoff, so it can be compared relatively
+        count = math.ceil(oversampling * (n + 1) * math.log(n + 1))
+        batch = sample_arcsine(count, n)
+        values = np.abs(batch.points)
+        report = fit_least_squares(n, batch, values)
+        d = design_matrix(n, batch)
+        sv = np.linalg.svd(d, compute_uv=False)
+        assert (sv[0] / sv[-1]) ** 2 <= MAX_GRAM_CONDITION
+        scaled = values * d[:, 0] * math.sqrt(2)
+        coeffs = np.linalg.lstsq(d, scaled, rcond=None)[0]
+        rms = np.linalg.norm(d @ coeffs - scaled) / math.sqrt(count)
+        rel = 1e-12
+        assert np.linalg.norm(report.coefficients - coeffs) <= rel * np.linalg.norm(coeffs)
+        assert abs(report.residual_rms - rms) <= rel * rms
+
+    def test_ill_conditioned_design_falls_back_to_lstsq(self):
+        # count = n + 1 leaves a square design with kappa(G) far past the gate;
+        # normal equations would be off by about kappa(G) * eps there
+        n = 20
+        batch = sample_arcsine(n + 1, SEED)
+        d = design_matrix(n, batch)
+        sv = np.linalg.svd(d, compute_uv=False)
+        assert (sv[0] / sv[-1]) ** 2 > MAX_GRAM_CONDITION
+        values = np.exp(batch.points)
+        report = fit_least_squares(n, batch, values)
+        coeffs = np.linalg.lstsq(d, values * d[:, 0] * math.sqrt(2), rcond=None)[0]
+        assert np.linalg.norm(report.coefficients - coeffs) <= 1e-13 * np.linalg.norm(coeffs)
+        assert abs(report.condition_estimate - sv[0] / sv[-1]) <= 1e-12 * report.condition_estimate
+
+    def test_repeated_points_are_rank_deficient(self):
+        # 12 samples but only 3 distinct points cannot determine 6 coefficients
+        batch = SampleBatch(points=np.repeat([-0.5, 0.0, 0.5], 4), seed=0)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            fit_least_squares(5, batch, np.ones(12))
+
+    def test_stable_is_the_gram_deviation_event(self):
+        batch = sample_arcsine(200, 3)
+        seen = set()
+        for n in (2, 20, 80):
+            report = fit_least_squares(n, batch, np.exp(batch.points))
+            assert report.stable == (report.gram_deviation <= STABILITY_BOUND)
+            assert report.to_json()["stable"] is report.stable
+            seen.add(report.stable)
+        assert seen == {True, False}
 
     def test_undersampling_rejected(self):
         batch = sample_arcsine(3, SEED)
