@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .certificates import certifies
-from .legendre import legendre_all, legendre_exact
+from .legendre import _legendre_rows, legendre_all, legendre_exact
 from .ratpoly import LaurentPoly
 
 
@@ -31,6 +31,27 @@ def _pstar_kn(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     pstar = legendre_all(n, x)
     pstar *= np.sqrt(np.arange(1, 2 * n + 2, 2) / 2).reshape((n + 1,) + (1,) * np.ndim(x))
     return pstar, np.sum(pstar * pstar, axis=0) / (n + 1)
+
+
+def _pstar_pair_kn(n: int, i: int, j: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_i*(x), P_j*(x) and K_n(x) in sum form, holding two rows of the recurrence.
+
+    The squares are added in order of degree, as ``_pstar_kn``'s sum over
+    axis 0 adds them, so the three values are bit for bit those of
+    ``_pstar_kn``; no (n+1)-row block is allocated.
+    """
+    scale = np.sqrt(np.arange(1, 2 * n + 2, 2) / 2)
+    for k, p in enumerate(_legendre_rows(n, x)):
+        row = p * scale[k]
+        if k == i:
+            pi = row
+        if k == j:
+            pj = row
+        if k == 0:
+            total = row * row
+        else:
+            total += row * row
+    return pi, pj, total / (n + 1)
 
 
 def kn_eval(n: int, x):

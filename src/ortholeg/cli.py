@@ -6,8 +6,9 @@ a command with identical flags produces byte-identical artifacts (seeded,
 counter-based randomness and deterministic serialization throughout).
 
 Exit codes: 0 when every emitted certificate passes, 1 when any check fails
-(an exact construction that fails its own check included), 2 for invalid
-configuration or an --output that cannot be written.
+(an exact construction that fails its own check included, and a fit whose
+sample misses the stability event), 2 for invalid configuration or an
+--output that cannot be written.
 """
 
 from __future__ import annotations
@@ -215,16 +216,17 @@ def _cmd_fit(args) -> tuple[str, bool]:
     batch = sampling_ls.sample_arcsine(args.count, args.seed)
     values = np.exp(batch.points)
     report = sampling_ls.fit_least_squares(args.n, batch, values)
+    ok = report.stable
     if args.format == "csv":
         xs = np.linspace(-1.0, 1.0, 201)
-        return sampling_ls.predictions_to_csv(xs, sampling_ls.predict(report, xs)), True
+        return sampling_ls.predictions_to_csv(xs, sampling_ls.predict(report, xs)), ok
     if args.format == "text":
         return (f"n={report.n} count={report.sample_count} seed={report.seed} "
                 f"residual rms={report.residual_rms:.6e} "
-                f"stable={'yes' if report.stable else 'no'}\n"), True
+                f"stable={'yes' if ok else 'no'}\n"), ok
     payload = report.to_json()
     payload["target"] = "exp(x)"
-    return _json_text(payload), True
+    return _json_text(payload), ok
 
 
 _COMMANDS = {

@@ -95,7 +95,9 @@ class FactorPair:
     @classmethod
     def build(cls, n: int) -> "FactorPair":
         """Build F_n and G_n, certifying G_n against the coefficient-reversal
-        rule, the positivity of F_n, and the values F_n(0) and G_n(0)."""
+        rule, the positivity of F_n, the strict increase of its coefficients
+        c_k of w^k = z^{2k} (so every root lies strictly inside the unit
+        disk), and the values F_n(0) and G_n(0)."""
         f = fn_from_definition(n)
         g = f.recip().shift(2 * n)
         reversed_rule = LaurentPoly(
@@ -105,6 +107,10 @@ class FactorPair:
             raise ArithmeticError(f"G_{n} reversal constructions disagree")
         if any(e % 2 or c <= 0 for e, c in f.terms()):
             raise ArithmeticError(f"F_{n} is not even with positive coefficients")
+        # Enestrom-Kakeya: then every root has |z|^2 <= max c_k/c_{k+1} < 1
+        coeffs = [f.coeff(2 * k) for k in range(n + 1)]
+        if any(a >= b for a, b in zip(coeffs, coeffs[1:])):
+            raise ArithmeticError(f"F_{n} coefficients do not strictly increase")
         if f.coeff(0) != Fraction(math.comb(2 * n, n), 4**n):
             raise ArithmeticError(f"F_{n}(0) has the wrong value")
         if g.coeff(0) != (2 * n + 1) * f.coeff(0):
@@ -204,6 +210,21 @@ def check_ode(n: int) -> LaurentPoly:
 # -- root localization -------------------------------------------------------
 
 
+def fn_root_radius_bound(n: int) -> Fraction:
+    """The Enestrom-Kakeya bound max_k c_k / c_{k+1} on |z|^2 over the roots of F_n.
+
+    The c_k are F_n's coefficients of w^k, w = z^2.  A polynomial in w with
+    positive coefficients has every root within |w| <= max_k c_k / c_{k+1}
+    (Enestrom 1893, Kakeya 1912).  From the closed coefficients,
+    c_k / c_{k+1} = (k+1)(2n-2k-1) / ((2k+3)(n-k)), whose numerator falls
+    short of its denominator by n + 1, so the bound is below 1.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return max(Fraction((k + 1) * (2 * n - 2 * k - 1), (2 * k + 3) * (n - k))
+               for k in range(n))
+
+
 @dataclass(frozen=True)
 class RootRecord:
     re: float
@@ -257,7 +278,9 @@ def fn_roots(n: int) -> RootReport:
     the z-roots are then the +- square roots, preserving the pair structure
     exactly.  Each root carries its residual |F_n(z)| against
     ``1e-10 * (n+1)`` (F_n has positive coefficients, so n + 1 = F_n(1)
-    bounds it on the closed disk).
+    bounds it on the closed disk), and converges only when that residual is
+    met and its squared modulus is within ``fn_root_radius_bound(n)``, up to
+    the same relative 1e-10.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -271,9 +294,10 @@ def fn_roots(n: int) -> RootReport:
     zs = np.array(zs)
     residuals = np.abs(np.polyval(even, zs * zs))
     scale = float(n + 1)
+    radius2 = float(fn_root_radius_bound(n)) * (1 + 1e-10)
     records = [
         RootRecord(re=z.real, im=z.imag, modulus=abs(z), residual=float(res),
-                   converged=bool(res <= 1e-10 * scale))
+                   converged=bool(res <= 1e-10 * scale and abs(z) ** 2 <= radius2))
         for z, res in zip(zs, residuals)
     ]
     records.sort(key=lambda r: (r.re, r.im))

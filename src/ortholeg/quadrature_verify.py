@@ -13,6 +13,14 @@ Three equivalent integral forms are computed:
 The integrands are rational in (cos t, sin t) and analytic in a strip, so
 grid doubling converges geometrically; no fixed Gauss rule on [-1, 1] would
 be exact because the integrand is not a polynomial.
+
+The uniform grids of the periodic and contour forms nest: the even points of
+the 2M grid are the M grid (Trefethen & Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Review 2014), so each doubling evaluates
+only the M points it adds.  Both integrands take the same value, or its
+conjugate, at t and 2 pi - t, so only the angles in [0, pi] are evaluated.
+Every grid point is then evaluated once, on half the period.  The interval
+form's midpoint nodes do not nest under doubling and are evaluated afresh.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .christoffel import _pstar_kn, q_basis_all
+from .christoffel import _pstar_pair_kn, q_basis_all
 from .factorization import fn_float_coeffs
 from .legendre import legendre_eval
 
@@ -72,10 +80,13 @@ class OrthoReport:
 def _refine(evaluate, tol: float, rows: int):
     """Evaluate on uniform grids of BASE_POINTS, 2 BASE_POINTS, ... points.
 
-    Stops at the first doubling whose value differs from the previous one by
-    less than ``tol`` (entrywise for arrays), or before the grid would pass
-    MAX_POINTS points or MAX_ENTRIES points times ``rows``, the number of
-    rows ``evaluate`` holds per grid point.  Returns the last value, its grid
+    ``evaluate(points)`` returns the value on the grid of ``points`` points;
+    it is called with each grid size in turn, so a nested evaluator
+    (``_nested``) can reuse the points of the grid before.  Stops at the
+    first doubling whose value differs from the previous one by less than
+    ``tol`` (entrywise for arrays), or before the grid would pass MAX_POINTS
+    points or MAX_ENTRIES points times ``rows``, the number of rows
+    ``evaluate`` holds per grid point.  Returns the last value, its grid
     size, the largest change at each doubling, and the last change itself.
     """
     if BASE_POINTS * 2 * rows > MAX_ENTRIES:
@@ -94,10 +105,49 @@ def _refine(evaluate, tol: float, rows: int):
     return value, points, history, change
 
 
-def _gram_on_grid(n: int, points: int) -> np.ndarray:
-    theta = 2 * np.pi * np.arange(points) / points
-    q = q_basis_all(n, np.cos(theta))
-    return (q @ q.T) / points
+def _nested(grid_sum):
+    """The ``evaluate(points)`` of ``_refine`` for grids that nest.
+
+    ``grid_sum(points, odd)`` sums the integrand over the uniform grid of
+    ``points`` angles 2 pi m / points, or over its odd m alone when ``odd``.
+    The even points of the 2M grid are the M grid, so the running sum S_M
+    grows by the odd sum of the 2M grid alone: S_2M = S_M + odd sum.  Returns
+    the trapezoid value S_M / M.  Each call must double the grid before.
+    """
+    last = total = None
+
+    def evaluate(points: int):
+        nonlocal last, total
+        if last is None:
+            total = grid_sum(points, False)
+        elif points == 2 * last:
+            total = total + grid_sum(points, True)
+        else:
+            raise ValueError(f"a grid of {points} points does not double the last, {last}")
+        last = points
+        return total / points
+
+    return evaluate
+
+
+def _half_period(values, total):
+    """The ``grid_sum(points, odd)`` of an integrand even about t = 0.
+
+    ``values(t)`` evaluates the integrand at the angles t, along its last
+    axis, and ``total`` sums such values along that axis.  The integrand at
+    2 pi - t equals that at t, so a full grid sums the angles 2 pi m / points
+    with m = 0..points/2 only: the ends t = 0 and t = pi once, every angle in
+    between twice.  The odd m of a grid pair up the same way, and none is an
+    end, so each of the odd m < points/2 counts twice.
+    """
+    def grid_sum(points: int, odd: bool):
+        m = np.arange(1, points // 2, 2) if odd else np.arange(points // 2 + 1)
+        v = values(2 * np.pi * m / points)
+        if odd:
+            return 2 * total(v)
+        return 2 * total(v[..., 1:-1]) + total(v[..., :1]) + total(v[..., -1:])
+
+    return grid_sum
 
 
 def orthogonality_numeric(n: int, tol: float = 1e-10) -> OrthoReport:
@@ -111,7 +161,9 @@ def orthogonality_numeric(n: int, tol: float = 1e-10) -> OrthoReport:
         raise ValueError("degree must be non-negative")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
-    gram, points, history, change = _refine(lambda p: _gram_on_grid(n, p), tol / 10, n + 1)
+    # q @ q.T is one symmetric product, so every partial sum stays exactly symmetric
+    grid_sum = _half_period(lambda t: q_basis_all(n, np.cos(t)), lambda q: q @ q.T)
+    gram, points, history, change = _refine(_nested(grid_sum), tol / 10, n + 1)
     converged = history[-1] < tol / 10
     unconverged = () if converged else tuple(
         (int(i), int(j)) for i, j in np.argwhere(change >= tol / 10))
@@ -143,9 +195,10 @@ def unit_circle_integral(func, points: int) -> complex:
 def contour_moment_numeric(n: int, k: int) -> complex:
     """Unit-circle moment of 2(n+1) z^{2n-1} P_k(J(z)) / (F_n G_n), numerically.
 
-    The grid is doubled until successive values agree to 1e-12.  It is
-    conjugate-symmetric so the imaginary part cancels to roundoff; the real
-    part converges to the exact rational moment.
+    The grid is doubled until successive values agree to 1e-12.  The
+    integrand has real coefficients, so its values at z and conj(z) are
+    conjugate: the upper half circle gives the real part, and the imaginary
+    part is exactly 0.  The real part converges to the exact rational moment.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -153,16 +206,18 @@ def contour_moment_numeric(n: int, k: int) -> complex:
         raise ValueError("k must satisfy 0 <= k <= 2n")
     coeffs = fn_float_coeffs(n)
 
-    def integrand(z):
+    def real_part(t):
+        z = np.exp(1j * t)
         x = 0.5 * (z + 1.0 / z)
         pk = legendre_eval(k, x)
         # F_n and its reversal G_n are polynomials in z^2
         fg = np.polyval(coeffs[::-1], z * z) * np.polyval(coeffs, z * z)
-        return 2 * (n + 1) * z ** (2 * n - 1) * pk / fg
+        # dz / (2 pi i z) is dt / (2 pi), so the extra z absorbs the z^{-1}
+        return (2 * (n + 1) * z ** (2 * n - 1) * pk / fg * z).real
 
     # k + 1 rows per point, as when the whole block P_0..P_k was held, so the
-    # grid sizes and values do not move although legendre_eval holds two rows
-    return _refine(lambda p: unit_circle_integral(integrand, p), 1e-12, k + 1)[0]
+    # grid sizes do not move although legendre_eval holds two rows
+    return complex(_refine(_nested(_half_period(real_part, np.sum)), 1e-12, k + 1)[0])
 
 
 def interval_form_numeric(n: int, i: int, j: int) -> float:
@@ -179,7 +234,7 @@ def interval_form_numeric(n: int, i: int, j: int) -> float:
 
     def value(points: int) -> float:
         m = np.arange(1, points + 1)
-        pstar, kn = _pstar_kn(n, np.cos((2 * m - 1) * np.pi / (2 * points)))
-        return float(np.mean(pstar[i] * pstar[j] / kn))
+        pi, pj, kn = _pstar_pair_kn(n, i, j, np.cos((2 * m - 1) * np.pi / (2 * points)))
+        return float(np.mean(pi * pj / kn))
 
     return _refine(value, 1e-13, n + 1)[0]

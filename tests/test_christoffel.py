@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from ortholeg.christoffel import (
+    _pstar_kn,
+    _pstar_pair_kn,
     check_kn_forms,
     kn_eval,
     kn_exact,
@@ -27,6 +29,17 @@ def test_sum_form_hand_expansion_degree_one():
     # (1/2 + 3x^2/2)/2 = (3x^2+1)/4
     xs = RNG.uniform(-1, 1, 50)
     assert np.allclose(kn_eval(1, xs), (3 * xs**2 + 1) / 4, atol=1e-15)
+
+
+def test_pair_matches_block_bit_for_bit():
+    xs = RNG.uniform(-1, 1, 301)
+    for n in (0, 1, 5, 40, 200):
+        pstar, kn = _pstar_kn(n, xs)
+        for i, j in ((0, 0), (0, n), (n // 2, n // 3), (n, n)):
+            pi, pj, kn_pair = _pstar_pair_kn(n, i, j, xs)
+            assert np.array_equal(pi, pstar[i])
+            assert np.array_equal(pj, pstar[j])
+            assert np.array_equal(kn_pair, kn)
 
 
 def test_value_at_one():

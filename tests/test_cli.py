@@ -118,6 +118,28 @@ def test_fit_reports_stability(tmp_path):
     assert text.rstrip("\n").endswith(" stable=" + ("yes" if payload["stable"] else "no"))
 
 
+def test_stable_fit_exits_zero(tmp_path):
+    for fmt in ("json", "csv", "text"):
+        code, text = run(tmp_path, "fit", "--n", "10", "--count", "1000", "--seed", "7",
+                         "--format", fmt)
+        assert code == 0 and text
+    code, text = run(tmp_path, "fit", "--n", "10", "--count", "1000", "--seed", "7")
+    assert json.loads(text)["stable"] is True
+
+
+def test_unstable_fit_exits_one(tmp_path):
+    # 12 samples for 5 coefficients: ||G - I||_2 = 0.853 > 1/2, still full rank
+    code, text = run(tmp_path, "fit", "--n", "4", "--count", "12", "--seed", "0")
+    assert code == 1
+    payload = json.loads(text)
+    assert payload["stable"] is False and payload["gram_deviation"] > 0.5
+    for fmt in ("csv", "text"):
+        code, text = run(tmp_path, "fit", "--n", "4", "--count", "12", "--seed", "0",
+                         "--format", fmt)
+        assert code == 1 and text
+    assert text.rstrip("\n").endswith(" stable=no")
+
+
 def test_gram_deviation_is_spectral_norm(tmp_path):
     code, text = run(tmp_path, "gram", "--n", "10", "--count", "2000", "--seed", "42")
     assert code == 0

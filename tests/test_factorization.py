@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import mpmath
 import numpy as np
+import pytest
 
+from ortholeg import factorization
 from ortholeg.factorization import (
     FactorPair,
     check_fejer_riesz,
@@ -16,6 +18,7 @@ from ortholeg.factorization import (
     fn_closed_coeffs,
     fn_from_definition,
     fn_hypergeometric,
+    fn_root_radius_bound,
     fn_roots,
     hypergeometric_check,
     _hypergeometric_series,
@@ -196,3 +199,35 @@ class TestRoots:
         assert payload["n"] == 2
         assert len(payload["roots"]) == 4
         assert set(payload["roots"][0]) == {"re", "im", "modulus", "residual"}
+
+
+class TestRootRadiusBound:
+    def test_bound_is_the_largest_coefficient_ratio(self):
+        for n in range(1, 41):
+            f = fn_closed_coeffs(n)
+            c = [f.coeff(2 * k) for k in range(n + 1)]
+            assert all(a < b for a, b in zip(c, c[1:]))
+            assert fn_root_radius_bound(n) == max(a / b for a, b in zip(c, c[1:]))
+
+    def test_bound_is_below_one(self):
+        assert fn_root_radius_bound(1) == F(1, 3)
+        for n in [*range(1, 61), 200, 800]:
+            assert fn_root_radius_bound(n) < 1
+
+    def test_roots_lie_within_the_bound(self):
+        # at n = 1 the one w-root -c_0/c_1 meets the bound exactly; n = 800 is
+        # covered by the converged flags of test_certified_inside_disk
+        for n in [*range(1, 21), 200]:
+            bound = float(fn_root_radius_bound(n))
+            assert all(r.modulus ** 2 <= bound * (1 + 1e-10) for r in fn_roots(n).roots)
+
+    def test_root_outside_the_bound_is_not_converged(self, monkeypatch):
+        # |z|^2 = 5^(-1/2) at n = 2, so a bound of 1/4 leaves every root outside
+        monkeypatch.setattr(factorization, "fn_root_radius_bound", lambda n: F(1, 4))
+        assert not any(r.converged for r in fn_roots(2).roots)
+        monkeypatch.setattr(factorization, "fn_root_radius_bound", lambda n: F(1, 2))
+        assert all(r.converged for r in fn_roots(2).roots)
+
+    def test_degree_zero_has_no_bound(self):
+        with pytest.raises(ValueError):
+            fn_root_radius_bound(0)

@@ -74,6 +74,35 @@ def test_tampered_factor_fails_factor_and_moments_cleanly(command, tampered_fn, 
     assert captured.err == "error: F_3(0) has the wrong value\n"
 
 
+@pytest.fixture
+def swapped_fn(monkeypatch, clean_caches):
+    # from n = 3 on, swap F_n's coefficients of z^2 and z^4: F_n stays even and
+    # positive, and its reversal, F_n(0) and G_n(0) are kept, so only the strict
+    # increase that bounds the roots inside the unit disk fails
+    original = factorization.fn_from_definition
+
+    def swapped(n):
+        f = original(n)
+        if n < 3:
+            return f
+        a, b = f.coeff(2), f.coeff(4)
+        return f + LaurentPoly({2: b - a, 4: a - b})
+
+    monkeypatch.setattr(factorization, "fn_from_definition", swapped)
+
+
+def test_swapped_factor_coefficients_fail_the_root_radius_check(swapped_fn, tmp_path):
+    for n in (3, 4):
+        reversal = factorization.check_reversal(n)
+        assert reversal.status == "fail"
+        assert reversal.detail == f"F_{n} coefficients do not strictly increase"
+    out = tmp_path / "ledger.jsonl"
+    assert main(["verify-identities", "--n-max", "4", "--output", str(out)]) == 1
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(c["n"], c["status"]) for c in lines if c["identity"] == "factor-reversal"] == [
+        (1, "pass"), (2, "pass"), (3, "fail"), (4, "fail")]
+
+
 def test_tampered_closed_form_fails_kn_forms(monkeypatch, clean_caches):
     original = christoffel._kn_exact_closed
     monkeypatch.setattr(christoffel, "_kn_exact_closed", lambda n: original(n) + LaurentPoly.one())

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from ortholeg import quadrature_verify
+from ortholeg.christoffel import _pstar_kn, q_basis_all
+from ortholeg.factorization import fn_float_coeffs
+from ortholeg.legendre import legendre_eval
 from ortholeg.partial_fractions import moments_table
 from ortholeg.quadrature_verify import (
     BASE_POINTS,
     contour_moment_numeric,
     interval_form_numeric,
     orthogonality_numeric,
+    unit_circle_integral,
 )
+
+
+def _full_grid_gram(n, points):
+    # the trapezoid rule on the whole period, every grid evaluated afresh
+    theta = 2 * np.pi * np.arange(points) / points
+    q = q_basis_all(n, np.cos(theta))
+    return (q @ q.T) / points
 
 
 class TestOrthogonalityNumeric:
@@ -85,6 +96,43 @@ class TestOrthogonalityNumeric:
             orthogonality_numeric(2, tol=tol)
 
 
+class TestNestedGrids:
+    @pytest.mark.parametrize("n", [*range(31), 200])
+    def test_matches_the_full_grid_trapezoid_rule(self, n):
+        report = orthogonality_numeric(n)
+        gram, points, history, _ = quadrature_verify._refine(
+            lambda p: _full_grid_gram(n, p), 1e-11, n + 1)
+        assert report.points_used == points
+        assert len(report.refinement_history) == len(history)
+        assert np.max(np.abs(report.gram - gram)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [0, 7, 40])
+    def test_each_point_is_evaluated_once(self, n, monkeypatch):
+        # the half period 0..pi of the final grid: points_used / 2 + 1 angles
+        counted = []
+
+        def counting(degree, x):
+            counted.append(np.size(x))
+            return q_basis_all(degree, x)
+
+        monkeypatch.setattr(quadrature_verify, "q_basis_all", counting)
+        report = orthogonality_numeric(n)
+        assert sum(counted) == report.points_used // 2 + 1
+        assert len(counted) == len(report.refinement_history) + 1
+
+    def test_gram_is_exactly_symmetric(self):
+        for n in (3, 9, 20, 64):
+            gram = orthogonality_numeric(n).gram
+            assert np.array_equal(gram, gram.T)
+
+    def test_grids_must_double(self):
+        evaluate = quadrature_verify._nested(lambda points, odd: 1.0)
+        evaluate(64)
+        evaluate(128)
+        with pytest.raises(ValueError):
+            evaluate(512)
+
+
 class TestContourMoment:
     def test_value_two_at_zero(self):
         m = contour_moment_numeric(1, 0)
@@ -103,6 +151,23 @@ class TestContourMoment:
                 assert abs(numeric.real - exact) < 1e-10
                 assert abs(numeric.imag) < 1e-10
 
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 2), (5, 3), (20, 0), (20, 17), (120, 0),
+                                      (120, 239)])
+    def test_matches_the_full_circle(self, n, k):
+        # the upper half circle gives the real part of the whole-circle mean
+        # on the same grid, and an imaginary part of exactly 0
+        coeffs = fn_float_coeffs(n)
+
+        def integrand(z):
+            fg = np.polyval(coeffs[::-1], z * z) * np.polyval(coeffs, z * z)
+            return 2 * (n + 1) * z ** (2 * n - 1) * legendre_eval(k, 0.5 * (z + 1 / z)) / fg
+
+        full = quadrature_verify._refine(
+            lambda p: unit_circle_integral(integrand, p), 1e-12, k + 1)[0]
+        moment = contour_moment_numeric(n, k)
+        assert moment.imag == 0.0
+        assert abs(moment.real - full.real) <= 1e-14
+
 
 class TestIntervalForm:
     def test_constant_entry(self):
@@ -112,6 +177,18 @@ class TestIntervalForm:
     def test_diagonal_and_offdiagonal(self):
         assert interval_form_numeric(2, 1, 1) == pytest.approx(1.0, abs=1e-10)
         assert interval_form_numeric(2, 0, 2) == pytest.approx(0.0, abs=1e-10)
+
+    def test_matches_block_reference_bit_for_bit(self):
+        # the whole (n+1)-row block at every grid, as before rows were streamed
+        def block_value(n, i, j, points):
+            m = np.arange(1, points + 1)
+            pstar, kn = _pstar_kn(n, np.cos((2 * m - 1) * np.pi / (2 * points)))
+            return float(np.mean(pstar[i] * pstar[j] / kn))
+
+        for n, i, j in ((0, 0, 0), (7, 2, 5), (60, 17, 17), (198, 119, 119), (200, 3, 150)):
+            reference = quadrature_verify._refine(
+                lambda p: block_value(n, i, j, p), 1e-13, n + 1)[0]
+            assert interval_form_numeric(n, i, j) == reference
 
     def test_matches_theta_form(self):
         for n, i, j in ((3, 1, 1), (5, 2, 4), (8, 0, 0), (8, 3, 3)):

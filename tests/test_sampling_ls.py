@@ -160,8 +160,8 @@ class TestFit:
             assert report.seed == 3
             assert report.gram_deviation >= 0
             assert report.condition_estimate >= 1
-            # the diagnostics read the solver's singular values; check them against
-            # the Gram matrix and the design matrix directly
+            # the diagnostics read the eigenvalues of the Gram matrix; check them
+            # against its spectral norm and the design matrix's singular values
             gram_norm = np.linalg.norm(empirical_gram(n, batch) - np.eye(n + 1), 2)
             assert abs(report.gram_deviation - gram_norm) < 1e-12
             sv = np.linalg.svd(design_matrix(n, batch), compute_uv=False)
