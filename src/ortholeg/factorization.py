@@ -37,11 +37,17 @@ def fn_from_definition(n: int) -> LaurentPoly:
 
 
 def _fn_closed_numerators(n: int) -> list[int]:
-    """4^n times F_n's coefficients of z^0, z^2, ..., z^{2n}: (2k+1) C(2k,k) C(2n-2k,n-k)."""
+    """4^n times F_n's coefficients of z^0, z^2, ..., z^{2n}: (2k+1) C(2k,k) C(2n-2k,n-k).
+
+    The central binomials come from the exact recurrence
+    C(2k+2, k+1) = C(2k, k) 2(2k+1) / (k+1), whose division leaves no remainder.
+    """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    return [(2 * k + 1) * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k)
-            for k in range(n + 1)]
+    central = [1]
+    for k in range(n):
+        central.append(central[-1] * 2 * (2 * k + 1) // (k + 1))
+    return [(2 * k + 1) * central[k] * central[n - k] for k in range(n + 1)]
 
 
 def fn_closed_coeffs(n: int) -> LaurentPoly:
@@ -252,9 +258,11 @@ class RootReport:
 def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Simultaneous Aberth refinement of all roots of a monic polynomial.
 
-    ``coeffs`` are monic coefficients, highest power first.  Converges to
-    residuals near machine precision from ``np.roots`` starting points,
-    well within the 60 sweeps allowed.
+    ``coeffs`` are monic coefficients, highest power first, and ``roots`` the
+    distinct starting points.  Each sweep moves every root by its Aberth
+    correction; the sweeps stop when the residuals are near machine precision
+    or the largest correction is at most 4e-16, a few ulps of a root inside
+    the unit disk, and after at most 60 sweeps.
     """
     deriv = np.polyder(coeffs)
     scale = np.sum(np.abs(coeffs))
@@ -266,27 +274,35 @@ def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
         diffs = roots[:, None] - roots[None, :]
         np.fill_diagonal(diffs, 1.0)
         repulsion = np.sum(1.0 / diffs, axis=1) - 1.0
-        roots = roots - newton / (1.0 - newton * repulsion)
+        correction = newton / (1.0 - newton * repulsion)
+        roots = roots - correction
+        if np.max(np.abs(correction)) <= 4e-16:
+            break
     return roots
 
 
 def fn_roots(n: int) -> RootReport:
     """Compute and certify the 2n roots of F_n.
 
-    F_n is even, so ``np.roots`` first solves the degree-n polynomial in
-    w = z^2 and the w-roots are polished by simultaneous Aberth iteration;
-    the z-roots are then the +- square roots, preserving the pair structure
-    exactly.  Each root carries its residual |F_n(z)| against
-    ``1e-10 * (n+1)`` (F_n has positive coefficients, so n + 1 = F_n(1)
-    bounds it on the closed disk), and converges only when that residual is
-    met and its squared modulus is within ``fn_root_radius_bound(n)``, up to
-    the same relative 1e-10.
+    F_n is even, so simultaneous Aberth iteration solves the degree-n
+    polynomial in w = z^2, with no eigensolve.  It starts from the n points
+    at angles 2 pi (k + 1/2) / n on the circle of radius |c_0 / c_n|^{1/n},
+    the geometric mean of the w-root moduli by Vieta; like the roots of a
+    real polynomial, this start is closed under conjugation.  The z-roots
+    are then the +- square roots, preserving the pair structure exactly.
+    Each root carries its residual |F_n(z)| against ``1e-10 * (n+1)`` (F_n
+    has positive coefficients, so n + 1 = F_n(1) bounds it on the closed
+    disk), and converges only when that residual is met and its squared
+    modulus is within ``fn_root_radius_bound(n)``, up to the same relative
+    1e-10.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     even = fn_float_coeffs(n)[::-1]
     monic = even / even[0]
-    w_roots = _aberth_polish(monic, np.roots(monic))
+    radius = abs(monic[-1]) ** (1.0 / n)
+    start = radius * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    w_roots = _aberth_polish(monic, start)
     zs = []
     for w in w_roots:
         s = cmath.sqrt(w)

@@ -45,6 +45,13 @@ class TestConstructions:
             assert f == fn_closed_coeffs(n)
             assert f == fn_hypergeometric(n)
 
+    def test_closed_numerators_match_math_comb(self):
+        # the central-binomial recurrence against the binomials themselves
+        for n in [*range(61), 200, 800]:
+            assert factorization._fn_closed_numerators(n) == [
+                (2 * k + 1) * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k)
+                for k in range(n + 1)]
+
     def test_coefficients_positive_dyadic(self):
         for n in range(1, 31):
             for e, c in fn_from_definition(n).terms():
@@ -138,6 +145,19 @@ class TestHypergeometric:
             assert check_fn_constructions(n).passed
 
 
+# the circle start is checked at every degree to 60 and at the numeric degrees up to the CLI cap
+START_DEGREES = [*range(1, 61), 200, 400, 800]
+
+
+def _w_roots(report):
+    return np.array([complex(r.re, r.im) ** 2 for r in report.roots])
+
+
+def _set_distance(a, b):
+    distances = np.abs(a[:, None] - b[None, :])
+    return max(distances.min(axis=0).max(), distances.min(axis=1).max())
+
+
 class TestRoots:
     def test_degree_one_exact(self):
         report = fn_roots(1)
@@ -155,8 +175,7 @@ class TestRoots:
             assert abs(r.modulus - 5 ** (-0.25)) < 1e-12
 
     def test_certified_inside_disk(self):
-        # 200 tops the benchmark's numeric degrees and 800 is the CLI cap
-        for n in [*range(1, 21), 200, 800]:
+        for n in START_DEGREES:
             report = fn_roots(n)
             assert len(report.roots) == 2 * n
             assert report.max_modulus < 1.0
@@ -164,6 +183,19 @@ class TestRoots:
             for r in report.roots:
                 assert r.converged
                 assert r.residual < 1e-10 * (n + 1)
+
+    def test_circle_start_matches_eigenvalue_start(self):
+        # oracle: the companion-matrix eigenvalues of np.roots, polished the same way
+        for n in START_DEGREES:
+            even = factorization.fn_float_coeffs(n)[::-1]
+            monic = even / even[0]
+            reference = factorization._aberth_polish(monic, np.roots(monic))
+            assert _set_distance(_w_roots(fn_roots(n)), reference) < 1e-13
+
+    def test_w_roots_closed_under_conjugation(self):
+        for n in START_DEGREES:
+            w = _w_roots(fn_roots(n))
+            assert _set_distance(w, w.conj()) < 1e-13
 
     def test_against_high_precision_oracle(self):
         # independent oracle: mpmath polyroots on the exact even-part coefficients

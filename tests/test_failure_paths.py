@@ -103,6 +103,16 @@ def test_swapped_factor_coefficients_fail_the_root_radius_check(swapped_fn, tmp_
         (1, "pass"), (2, "pass"), (3, "fail"), (4, "fail")]
 
 
+def test_unpolished_roots_are_not_converged(monkeypatch, tmp_path, capsys):
+    # the certification recomputes each residual, so it does not trust the polisher
+    monkeypatch.setattr(factorization, "_aberth_polish", lambda coeffs, roots: roots)
+    assert not any(r.converged for r in factorization.fn_roots(5).roots)
+    out = tmp_path / "roots.json"
+    assert main(["roots", "--n", "5", "--output", str(out)]) == 1
+    assert json.loads(out.read_text())["status"] == "fail"
+    assert capsys.readouterr().err == ""
+
+
 def test_tampered_closed_form_fails_kn_forms(monkeypatch, clean_caches):
     original = christoffel._kn_exact_closed
     monkeypatch.setattr(christoffel, "_kn_exact_closed", lambda n: original(n) + LaurentPoly.one())
