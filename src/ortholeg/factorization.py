@@ -59,8 +59,8 @@ def fn_closed_coeffs(n: int) -> LaurentPoly:
 def fn_float_coeffs(n: int) -> np.ndarray:
     """F_n's coefficients of w^0, ..., w^n (w = z^2), each correctly rounded to float.
 
-    The numeric paths evaluate F_n and its reversal G_n from this array.  Integer
-    true division rounds correctly, and no exact polynomial is built.
+    The numeric paths evaluate F_n from this array.  Integer true division
+    rounds correctly, and no exact polynomial is built.
     """
     numerators, scale = _fn_closed_numerators(n), 4**n
     return np.array([c / scale for c in numerators])
@@ -316,7 +316,7 @@ def fn_roots(n: int) -> RootReport:
                    converged=bool(res <= 1e-10 * scale and abs(z) ** 2 <= radius2))
         for z, res in zip(zs, residuals)
     ]
-    records.sort(key=lambda r: (r.re, r.im))
+    records.sort(key=lambda r: (round(r.re, 12), r.im))  # ties conjugates: -im first
     diffs = np.abs(zs[:, None] - zs[None, :])
     np.fill_diagonal(diffs, np.inf)
     return RootReport(

@@ -17,10 +17,9 @@ be exact because the integrand is not a polynomial.
 The uniform grids of the periodic and contour forms nest: the even points of
 the 2M grid are the M grid (Trefethen & Weideman, "The exponentially
 convergent trapezoidal rule", SIAM Review 2014), so each doubling evaluates
-only the M points it adds.  Both integrands take the same value, or its
-conjugate, at t and 2 pi - t, so only the angles in [0, pi] are evaluated.
-Every grid point is then evaluated once, on half the period.  The interval
-form's midpoint nodes do not nest under doubling and are evaluated afresh.
+only the M points it adds.  Both integrands are real and even about t = 0,
+so only the angles in [0, pi] are evaluated, each once (``_periodic``).
+The interval form's midpoint nodes do not nest and are evaluated afresh.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def _refine(evaluate, tol: float, rows: int):
 
     ``evaluate(points)`` returns the value on the grid of ``points`` points;
     it is called with each grid size in turn, so a nested evaluator
-    (``_nested``) can reuse the points of the grid before.  Stops at the
+    (``_periodic``) can reuse the points of the grid before.  Stops at the
     first doubling whose value differs from the previous one by less than
     ``tol`` (entrywise for arrays), or before the grid would pass MAX_POINTS
     points or MAX_ENTRIES points times ``rows``, the number of rows
@@ -105,49 +104,30 @@ def _refine(evaluate, tol: float, rows: int):
     return value, points, history, change
 
 
-def _nested(grid_sum):
-    """The ``evaluate(points)`` of ``_refine`` for grids that nest.
+def _periodic(values, total):
+    """The ``evaluate(points)`` of ``_refine`` for an integrand even about t = 0.
 
-    ``grid_sum(points, odd)`` sums the integrand over the uniform grid of
-    ``points`` angles 2 pi m / points, or over its odd m alone when ``odd``.
-    The even points of the 2M grid are the M grid, so the running sum S_M
-    grows by the odd sum of the 2M grid alone: S_2M = S_M + odd sum.  Returns
-    the trapezoid value S_M / M.  Each call must double the grid before.
+    ``values(t)`` evaluates the integrand at the angles t along its last axis,
+    and ``total`` sums along that axis.  The sum S_M over the M angles
+    2 pi m / M counts m = 0..M/2 only: the ends 0 and pi once, every angle
+    between twice.  Each call must double the grid before, whose angles are
+    the even m, so S_2M adds twice the odd m < M.  Returns S_M / M.
     """
-    last = total = None
+    last = running = None
 
     def evaluate(points: int):
-        nonlocal last, total
+        nonlocal last, running
         if last is None:
-            total = grid_sum(points, False)
+            v = values(2 * np.pi * np.arange(points // 2 + 1) / points)
+            running = 2 * total(v[..., 1:-1]) + total(v[..., :1]) + total(v[..., -1:])
         elif points == 2 * last:
-            total = total + grid_sum(points, True)
+            running = running + 2 * total(values(2 * np.pi * np.arange(1, points // 2, 2) / points))
         else:
             raise ValueError(f"a grid of {points} points does not double the last, {last}")
         last = points
-        return total / points
+        return running / points
 
     return evaluate
-
-
-def _half_period(values, total):
-    """The ``grid_sum(points, odd)`` of an integrand even about t = 0.
-
-    ``values(t)`` evaluates the integrand at the angles t, along its last
-    axis, and ``total`` sums such values along that axis.  The integrand at
-    2 pi - t equals that at t, so a full grid sums the angles 2 pi m / points
-    with m = 0..points/2 only: the ends t = 0 and t = pi once, every angle in
-    between twice.  The odd m of a grid pair up the same way, and none is an
-    end, so each of the odd m < points/2 counts twice.
-    """
-    def grid_sum(points: int, odd: bool):
-        m = np.arange(1, points // 2, 2) if odd else np.arange(points // 2 + 1)
-        v = values(2 * np.pi * m / points)
-        if odd:
-            return 2 * total(v)
-        return 2 * total(v[..., 1:-1]) + total(v[..., :1]) + total(v[..., -1:])
-
-    return grid_sum
 
 
 def orthogonality_numeric(n: int, tol: float = 1e-10) -> OrthoReport:
@@ -162,8 +142,8 @@ def orthogonality_numeric(n: int, tol: float = 1e-10) -> OrthoReport:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
     # q @ q.T is one symmetric product, so every partial sum stays exactly symmetric
-    grid_sum = _half_period(lambda t: q_basis_all(n, np.cos(t)), lambda q: q @ q.T)
-    gram, points, history, change = _refine(_nested(grid_sum), tol / 10, n + 1)
+    evaluate = _periodic(lambda t: q_basis_all(n, np.cos(t)), lambda q: q @ q.T)
+    gram, points, history, change = _refine(evaluate, tol / 10, n + 1)
     converged = history[-1] < tol / 10
     unconverged = () if converged else tuple(
         (int(i), int(j)) for i, j in np.argwhere(change >= tol / 10))
@@ -181,43 +161,26 @@ def orthogonality_numeric(n: int, tol: float = 1e-10) -> OrthoReport:
     )
 
 
-def unit_circle_integral(func, points: int) -> complex:
-    """(1/2 pi i) contour integral over the unit circle by uniform sampling.
-
-    With z = e^{it} the measure dz/(2 pi i z) becomes the uniform average, so
-    the value is mean(func(z) * z) with the extra z absorbing the z^{-1}.
-    """
-    theta = 2 * np.pi * np.arange(points) / points
-    z = np.exp(1j * theta)
-    return complex(np.mean(func(z) * z))
-
-
 def contour_moment_numeric(n: int, k: int) -> complex:
     """Unit-circle moment of 2(n+1) z^{2n-1} P_k(J(z)) / (F_n G_n), numerically.
 
-    The grid is doubled until successive values agree to 1e-12.  The
-    integrand has real coefficients, so its values at z and conj(z) are
-    conjugate: the upper half circle gives the real part, and the imaginary
-    part is exactly 0.  The real part converges to the exact rational moment.
+    On z = e^{it}, G_n(z) = z^{2n} conj(F_n(z)) and dz / (2 pi i z) = dt / 2 pi,
+    so the moment is the mean of the real 2(n+1) P_k(cos t) / |F_n(z)|^2.  The
+    grid is doubled until successive values agree to 1e-12.  The imaginary
+    part is exactly 0; the real part converges to the exact rational moment.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= 2 * n:
         raise ValueError("k must satisfy 0 <= k <= 2n")
-    coeffs = fn_float_coeffs(n)
+    coeffs = fn_float_coeffs(n)[::-1]
 
-    def real_part(t):
-        z = np.exp(1j * t)
-        x = 0.5 * (z + 1.0 / z)
-        pk = legendre_eval(k, x)
-        # F_n and its reversal G_n are polynomials in z^2
-        fg = np.polyval(coeffs[::-1], z * z) * np.polyval(coeffs, z * z)
-        # dz / (2 pi i z) is dt / (2 pi), so the extra z absorbs the z^{-1}
-        return (2 * (n + 1) * z ** (2 * n - 1) * pk / fg * z).real
+    def integrand(t):
+        f = np.polyval(coeffs, np.exp(2j * t))
+        return 2 * (n + 1) * legendre_eval(k, np.cos(t)) / (f.real**2 + f.imag**2)
 
-    # k + 1 rows per point, as when the whole block P_0..P_k was held, so the
-    # grid sizes do not move although legendre_eval holds two rows
-    return complex(_refine(_nested(_half_period(real_part, np.sum)), 1e-12, k + 1)[0])
+    # k + 1 rows per point, as when the block P_0..P_k was held, keeps the grid sizes
+    return complex(_refine(_periodic(integrand, np.sum), 1e-12, k + 1)[0])
 
 
 def interval_form_numeric(n: int, i: int, j: int) -> float:

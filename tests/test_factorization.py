@@ -197,6 +197,14 @@ class TestRoots:
             w = _w_roots(fn_roots(n))
             assert _set_distance(w, w.conj()) < 1e-13
 
+    @pytest.mark.parametrize("n", [5, 199, 200, 800])
+    def test_conjugates_are_listed_side_by_side(self, n):
+        # their real parts may differ in the last bit; the -im root comes first
+        zs = [complex(r.re, r.im) for r in fn_roots(n).roots]
+        for lower, upper in zip(zs[::2], zs[1::2]):
+            assert lower.imag < 0
+            assert abs(upper - lower.conjugate()) < 1e-13
+
     def test_against_high_precision_oracle(self):
         # independent oracle: mpmath polyroots on the exact even-part coefficients
         mpmath.mp.dps = 50

@@ -166,7 +166,7 @@ def _on_grid(poly, z):
 
 def test_residue_rule_against_numeric_contour():
     """Cross-validate [z^{2n-1}]p / lc(F_n) against unit-circle quadrature."""
-    from ortholeg.quadrature_verify import unit_circle_integral
+    from test_quadrature_verify import unit_circle_integral
 
     rng = np.random.default_rng(99)
     for n in (1, 2, 4, 8):

@@ -13,8 +13,18 @@ from ortholeg.quadrature_verify import (
     contour_moment_numeric,
     interval_form_numeric,
     orthogonality_numeric,
-    unit_circle_integral,
 )
+
+
+def unit_circle_integral(func, points: int) -> complex:
+    """(1/2 pi i) contour integral over the unit circle by uniform sampling.
+
+    With z = e^{it} the measure dz/(2 pi i z) becomes the uniform average, so
+    the value is mean(func(z) * z) with the extra z absorbing the z^{-1}.
+    """
+    theta = 2 * np.pi * np.arange(points) / points
+    z = np.exp(1j * theta)
+    return complex(np.mean(func(z) * z))
 
 
 def _full_grid_gram(n, points):
@@ -126,7 +136,7 @@ class TestNestedGrids:
             assert np.array_equal(gram, gram.T)
 
     def test_grids_must_double(self):
-        evaluate = quadrature_verify._nested(lambda points, odd: 1.0)
+        evaluate = quadrature_verify._periodic(np.ones_like, np.sum)
         evaluate(64)
         evaluate(128)
         with pytest.raises(ValueError):
@@ -152,10 +162,10 @@ class TestContourMoment:
                 assert abs(numeric.imag) < 1e-10
 
     @pytest.mark.parametrize("n, k", [(1, 0), (1, 2), (5, 3), (20, 0), (20, 17), (120, 0),
-                                      (120, 239)])
+                                      (120, 239), (200, 0), (200, 398)])
     def test_matches_the_full_circle(self, n, k):
-        # the upper half circle gives the real part of the whole-circle mean
-        # on the same grid, and an imaginary part of exactly 0
+        # the real half-period integrand gives the real part of the complex
+        # whole-circle mean on the same grid, and an imaginary part of exactly 0
         coeffs = fn_float_coeffs(n)
 
         def integrand(z):
@@ -167,6 +177,23 @@ class TestContourMoment:
         moment = contour_moment_numeric(n, k)
         assert moment.imag == 0.0
         assert abs(moment.real - full.real) <= 1e-14
+
+    @pytest.mark.parametrize("n, k, evaluated", [(20, 0, 513), (120, 238, 2049),
+                                                 (200, 398, 4097)])
+    def test_each_angle_is_evaluated_once(self, n, k, evaluated, monkeypatch):
+        # 33 angles of [0, pi] on the first grid, then the odd angles of each
+        # doubling; even k only, as an odd-k integrand converges at once
+        counted = []
+
+        def counting(degree, x):
+            counted.append(np.size(x))
+            return legendre_eval(degree, x)
+
+        monkeypatch.setattr(quadrature_verify, "legendre_eval", counting)
+        contour_moment_numeric(n, k)
+        half, doublings = BASE_POINTS // 2, len(counted) - 1
+        assert counted == [half + 1] + [half * 2**m for m in range(doublings)]
+        assert sum(counted) == evaluated == half * 2**doublings + 1
 
 
 class TestIntervalForm:
