@@ -223,12 +223,16 @@ def fn_root_radius_bound(n: int) -> Fraction:
     positive coefficients has every root within |w| <= max_k c_k / c_{k+1}
     (Enestrom 1893, Kakeya 1912).  From the closed coefficients,
     c_k / c_{k+1} = (k+1)(2n-2k-1) / ((2k+3)(n-k)), whose numerator falls
-    short of its denominator by n + 1, so the bound is below 1.
+    short of its denominator by n + 1, so the bound is below 1.  Each ratio
+    is 1 - (n+1)/g(k) with g(k) = (2k+3)(n-k), a concave parabola in k with
+    its vertex at (2n-3)/4, so the largest ratio sits at one of the two
+    integers beside the vertex, clipped to 0..n-1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return max(Fraction((k + 1) * (2 * n - 2 * k - 1), (2 * k + 3) * (n - k))
-               for k in range(n))
+    vertex = (2 * n - 3) // 4
+    g = max((2 * k + 3) * (n - k) for k in (max(vertex, 0), min(vertex + 1, n - 1)))
+    return 1 - Fraction(n + 1, g)
 
 
 @dataclass(frozen=True)

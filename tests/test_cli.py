@@ -172,6 +172,15 @@ def test_non_finite_tolerance_exits_two(tol, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_tolerance_above_one_passes_at_the_first_doubling(tmp_path, capsys):
+    # ln(1/tol) < 0 predicts no grid past the first; the run is the grid-by-grid one
+    code, text = run(tmp_path, "verify-theorem", "--n", "5", "--tol", "1e6")
+    assert code == 0 and capsys.readouterr().err == ""
+    payload = json.loads(text)
+    assert payload["status"] == "pass" and payload["converged"]
+    assert payload["points_used"] == 128
+
+
 def test_output_into_missing_directory_exits_two(tmp_path, capsys, monkeypatch):
     def must_not_run(n_max):
         raise AssertionError("the ledger ran before the output path was checked")

@@ -271,3 +271,11 @@ class TestRootRadiusBound:
     def test_degree_zero_has_no_bound(self):
         with pytest.raises(ValueError):
             fn_root_radius_bound(0)
+
+
+def test_radius_bound_at_the_vertex_is_the_largest_ratio():
+    # the bound reads g(k) = (2k+3)(n-k) beside its vertex only; every ratio
+    # c_k / c_{k+1} from the closed coefficients, as exact fractions
+    for n in [*range(1, 501), 800]:
+        ratios = (F((k + 1) * (2 * n - 2 * k - 1), (2 * k + 3) * (n - k)) for k in range(n))
+        assert fn_root_radius_bound(n) == max(ratios)

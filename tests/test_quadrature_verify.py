@@ -118,7 +118,8 @@ class TestNestedGrids:
 
     @pytest.mark.parametrize("n", [0, 7, 40])
     def test_each_point_is_evaluated_once(self, n, monkeypatch):
-        # the half period 0..pi of the final grid: points_used / 2 + 1 angles
+        # the half period 0..pi of the final grid: points_used / 2 + 1 angles;
+        # one call for every grid up to half the predicted one, then one per doubling
         counted = []
 
         def counting(degree, x):
@@ -127,8 +128,11 @@ class TestNestedGrids:
 
         monkeypatch.setattr(quadrature_verify, "q_basis_all", counting)
         report = orthogonality_numeric(n)
+        batch = max(quadrature_verify._predicted_points(n, 1e-11, n + 1) // 2, BASE_POINTS)
+        ahead = (batch // BASE_POINTS).bit_length() - 1
         assert sum(counted) == report.points_used // 2 + 1
-        assert len(counted) == len(report.refinement_history) + 1
+        assert counted[0] == batch // 2 + 1
+        assert len(counted) == len(report.refinement_history) + 1 - ahead
 
     def test_gram_is_exactly_symmetric(self):
         for n in (3, 9, 20, 64):
@@ -181,8 +185,9 @@ class TestContourMoment:
     @pytest.mark.parametrize("n, k, evaluated", [(20, 0, 513), (120, 238, 2049),
                                                  (200, 398, 4097)])
     def test_each_angle_is_evaluated_once(self, n, k, evaluated, monkeypatch):
-        # 33 angles of [0, pi] on the first grid, then the odd angles of each
-        # doubling; even k only, as an odd-k integrand converges at once
+        # the P/4 + 1 angles of [0, pi] on half the predicted grid P, then the
+        # odd angles of each later doubling; even k only, as an odd-k
+        # integrand converges at once
         counted = []
 
         def counting(degree, x):
@@ -191,7 +196,8 @@ class TestContourMoment:
 
         monkeypatch.setattr(quadrature_verify, "legendre_eval", counting)
         contour_moment_numeric(n, k)
-        half, doublings = BASE_POINTS // 2, len(counted) - 1
+        half = quadrature_verify._predicted_points(n, 1e-12, k + 1) // 4
+        doublings = len(counted) - 1
         assert counted == [half + 1] + [half * 2**m for m in range(doublings)]
         assert sum(counted) == evaluated == half * 2**doublings + 1
 
@@ -221,3 +227,122 @@ class TestIntervalForm:
         for n, i, j in ((3, 1, 1), (5, 2, 4), (8, 0, 0), (8, 3, 3)):
             gram = orthogonality_numeric(n, tol=1e-12).gram
             assert interval_form_numeric(n, i, j) == pytest.approx(gram[i, j], abs=1e-12)
+
+
+def _levels(monkeypatch, form, *args):
+    # every value the form's evaluator returns, grid by grid, and the result
+    levels = []
+    refine = quadrature_verify._refine
+
+    def recording(evaluate, tol, rows):
+        return refine(lambda p: levels.append((p, evaluate(p))) or levels[-1][1], tol, rows)
+
+    monkeypatch.setattr(quadrature_verify, "_refine", recording)
+    result = form(*args)
+    monkeypatch.setattr(quadrature_verify, "_refine", refine)
+    return levels, result
+
+
+def _same(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+class TestPredictedGrid:
+    @pytest.mark.parametrize("n", [0, 1, 7, 40, 120, 200])
+    def test_forms_match_grid_by_grid_evaluation_bit_for_bit(self, n, monkeypatch):
+        # against the same forms with nothing evaluated ahead: each grid's value
+        # and every returned field is exactly equal, not within a tolerance
+        calls = [(orthogonality_numeric, n)]
+        calls += [(contour_moment_numeric, n, k) for k in (0, 2 * n - 1, 2 * n) if n > 0]
+        calls += [(interval_form_numeric, n, n // 2, n // 2)]
+        calls += [(interval_form_numeric, n, n // 2, n // 2 + 1)] if n > 0 else []
+        for form, *args in calls:
+            levels, result = _levels(monkeypatch, form, *args)
+            with monkeypatch.context() as m:
+                m.setattr(quadrature_verify, "_predicted_points", lambda *a: BASE_POINTS)
+                base_levels, base = _levels(m, form, *args)
+            assert [p for p, _ in levels] == [p for p, _ in base_levels]
+            assert all(_same(v, w) for (_, v), (_, w) in zip(levels, base_levels))
+            if form is orthogonality_numeric:
+                assert np.array_equal(result.gram, base.gram)
+                assert result.points_used == base.points_used
+                assert result.refinement_history == base.refinement_history
+                assert result.converged == base.converged
+                assert result.unconverged_entries == base.unconverged_entries
+            else:
+                assert result == base
+
+    def test_gram_evaluates_no_finer_grid_than_it_uses(self, monkeypatch):
+        counted = []
+
+        def counting(degree, x):
+            counted.append(np.size(x))
+            return q_basis_all(degree, x)
+
+        monkeypatch.setattr(quadrature_verify, "q_basis_all", counting)
+        for n in [*range(1, 201), 800]:
+            counted.clear()
+            report = orthogonality_numeric(n)
+            assert 2 * (counted[0] - 1) <= report.points_used
+
+    @pytest.mark.parametrize("n", [1, 20, 60, 120, 200])
+    def test_contour_evaluates_no_finer_grid_than_it_uses(self, n, monkeypatch):
+        counted = []
+
+        def counting(degree, x):
+            counted.append(np.size(x))
+            return legendre_eval(degree, x)
+
+        monkeypatch.setattr(quadrature_verify, "legendre_eval", counting)
+        for k in (0, 2 * n):
+            counted.clear()
+            levels, _ = _levels(monkeypatch, contour_moment_numeric, n, k)
+            # the first call holds the half period of one grid, 0..pi
+            assert 2 * (counted[0] - 1) <= levels[-1][0]
+
+    @pytest.mark.parametrize("n, i, j", [(20, 0, 0), (120, 60, 60), (200, 3, 151)])
+    def test_interval_evaluates_the_nodes_of_its_grids_once(self, n, i, j, monkeypatch):
+        # the midpoint nodes of 64, 128, ... up to the final grid, and no more
+        counted = []
+        original = quadrature_verify._pstar_pair_kn
+        monkeypatch.setattr(quadrature_verify, "_pstar_pair_kn",
+                            lambda *a: counted.append(np.size(a[-1])) or original(*a))
+        levels, _ = _levels(monkeypatch, interval_form_numeric, n, i, j)
+        assert sum(counted) == sum(p for p, _ in levels)
+        assert len(counted) < len(levels)
+
+    def test_no_call_passes_the_entry_budget(self, monkeypatch):
+        # 11 rows per point leave 256 points as the last grid: the prediction
+        # for tol 1e-300 is clamped there, so the Gram evaluates 128 ahead
+        monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 11 * 256)
+        assert quadrature_verify._predicted_points(10, 1e-300, 11) == 256
+        sizes = {"q_basis_all": [], "legendre_eval": [], "_pstar_pair_kn": []}
+        for name, counted in sizes.items():
+            original = getattr(quadrature_verify, name)
+            monkeypatch.setattr(quadrature_verify, name, lambda *a, counted=counted, f=original:
+                                counted.append(np.size(a[-1])) or f(*a))
+        report = orthogonality_numeric(10, tol=1e-300)
+        contour_moment_numeric(10, 10)
+        interval_form_numeric(10, 5, 5)
+        assert report.points_used == 256 and not report.converged
+        assert sizes["q_basis_all"] == [65, 64]
+        assert max(sizes["legendre_eval"]) <= 256 // 2 + 1
+        assert max(sizes["_pstar_pair_kn"]) <= 256
+
+    @pytest.mark.parametrize("n, tol, points", [(5, 1e6, 128), (0, 1e-300, 128), (0, 1e6, 128),
+                                                (5, 1e-300, 2**20)])
+    def test_extreme_tolerances_refine_as_grid_by_grid(self, n, tol, points, monkeypatch):
+        assert quadrature_verify._predicted_points(n, tol, n + 1) >= BASE_POINTS
+        report = orthogonality_numeric(n, tol=tol)
+        monkeypatch.setattr(quadrature_verify, "_predicted_points", lambda *a: BASE_POINTS)
+        base = orthogonality_numeric(n, tol=tol)
+        assert report.points_used == base.points_used == points
+        assert np.array_equal(report.gram, base.gram)
+        assert report.refinement_history == base.refinement_history
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 200])
+    @pytest.mark.parametrize("tol", [1.0, 1e6, 1e-300])
+    def test_prediction_never_raises(self, n, tol):
+        points = quadrature_verify._predicted_points(n, tol, n + 1)
+        assert BASE_POINTS <= points <= quadrature_verify._last_grid(n + 1)
+        assert points & (points - 1) == 0
