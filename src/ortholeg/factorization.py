@@ -312,6 +312,7 @@ def fn_roots(n: int) -> RootReport:
         s = cmath.sqrt(w)
         zs += [s, -s]
     zs = np.array(zs)
+    zs = zs[np.lexsort((zs.imag, np.round(zs.real, 12)))]  # ties conjugates: -im first
     residuals = np.abs(np.polyval(even, zs * zs))
     scale = float(n + 1)
     radius2 = float(fn_root_radius_bound(n)) * (1 + 1e-10)
@@ -320,7 +321,6 @@ def fn_roots(n: int) -> RootReport:
                    converged=bool(res <= 1e-10 * scale and abs(z) ** 2 <= radius2))
         for z, res in zip(zs, residuals)
     ]
-    records.sort(key=lambda r: (round(r.re, 12), r.im))  # ties conjugates: -im first
     diffs = np.abs(zs[:, None] - zs[None, :])
     np.fill_diagonal(diffs, np.inf)
     return RootReport(

@@ -24,10 +24,9 @@ The interval form's midpoint nodes do not nest.
 Every root of F_n has |z|^2 <= ``fn_root_radius_bound(n)`` < 1, so the
 integrands are analytic in a strip whose half-width the bound gives, and the
 grid that meets a tolerance is predicted before any is evaluated
-(``_predicted_points``).  Each form evaluates every grid up to half the
-predicted one in a single call of its Legendre recurrence, then sums each
-grid from its own slice of that block as a call of its own would; past it the
-grids double one by one.
+(``_predicted_points``).  Each form starts its refinement one doubling short
+of its predicted grid, so the first doubling it evaluates can meet the
+tolerance.
 """
 
 from __future__ import annotations
@@ -109,23 +108,22 @@ def _predicted_points(n: int, tol: float, rows: int) -> int:
     return points
 
 
-def _refine(evaluate, tol: float, rows: int):
-    """Evaluate on uniform grids of BASE_POINTS, 2 BASE_POINTS, ... points.
+def _refine(evaluate, tol: float, rows: int, start: int = BASE_POINTS):
+    """Evaluate on uniform grids of ``start``, 2 ``start``, ... points.
 
     ``evaluate(points)`` returns the value on the grid of ``points`` points;
     it is called with each grid size in turn, so a nested evaluator
-    (``_periodic``) can reuse the points of the grid before, and an evaluator
-    may compute the values of finer grids ahead at its first call.  Stops at
-    the first doubling whose value differs from the previous one by less than
-    ``tol`` (entrywise for arrays), or at ``_last_grid(rows)``, before the
-    grid would pass MAX_POINTS points or MAX_ENTRIES points times ``rows``,
-    the number of rows ``evaluate`` holds per grid point.  Returns the last
-    value, its grid size, the largest change at each doubling, and the last
-    change itself.
+    (``_periodic``) can reuse the points of the grid before.  The first grid
+    is ``start`` points, or BASE_POINTS if that is more.  Stops at the first
+    doubling whose value differs from the previous one by less than ``tol``
+    (entrywise for arrays), or at ``_last_grid(rows)``, before the grid would
+    pass MAX_POINTS points or MAX_ENTRIES points times ``rows``, the number of
+    rows ``evaluate`` holds per grid point.  Returns the last value, its grid
+    size, the largest change at each doubling, and the last change itself.
     """
     if BASE_POINTS * 2 * rows > MAX_ENTRIES:
         raise ValueError(f"{rows} rows per point leave no grid to refine within MAX_ENTRIES")
-    points, last = BASE_POINTS, _last_grid(rows)
+    points, last = max(start, BASE_POINTS), _last_grid(rows)
     value = evaluate(points)
     history: list[float] = []
     while points < last:
@@ -139,40 +137,27 @@ def _refine(evaluate, tol: float, rows: int):
     return value, points, history, change
 
 
-def _periodic(values, total, batch: int = BASE_POINTS):
+def _periodic(values, total):
     """The ``evaluate(points)`` of ``_refine`` for an integrand even about t = 0.
 
     ``values(t)`` evaluates the integrand at the angles t along its last axis,
     and ``total`` sums along that axis.  The sum S_M over the M angles
     2 pi m / M counts m = 0..M/2 only: the ends 0 and pi once, every angle
-    between twice.  Each call must double the grid before, whose angles are
-    the even m, so S_2M adds twice the odd m < M.  Returns S_M / M.
-
-    The first call evaluates the angles of [0, pi] on the grid of ``batch``
-    points, if that is finer, in one ``values`` call.  Each grid up to it is
-    summed from a contiguous copy of its slice of that block; the grids are
-    powers of two, so those are the angles and values that a call per grid
-    would give, bit for bit.  The block is dropped once its own grid is
-    summed, and finer grids call ``values`` for their odd angles.
+    between twice.  The first call evaluates those angles of its grid in one
+    ``values`` call.  Each later call must double the grid before, whose
+    angles are the even m, so S_2M adds twice the odd m < M.  Returns S_M / M.
     """
-    last = running = block = grid = None
+    last = running = None
 
     def evaluate(points: int):
-        nonlocal last, running, block, grid
+        nonlocal last, running
         if last is None:
-            grid = max(points, batch)
-            block = values(2 * np.pi * np.arange(grid // 2 + 1) / grid)
-            v = np.ascontiguousarray(block[..., ::grid // points])
+            v = values(2 * np.pi * np.arange(points // 2 + 1) / points)
             running = 2 * total(v[..., 1:-1]) + total(v[..., :1]) + total(v[..., -1:])
         elif points != 2 * last:
             raise ValueError(f"a grid of {points} points does not double the last, {last}")
-        elif block is None:
-            running = running + 2 * total(values(2 * np.pi * np.arange(1, points // 2, 2) / points))
         else:
-            step = grid // points
-            running = running + 2 * total(np.ascontiguousarray(block[..., step::2 * step]))
-        if points == grid:
-            block = None
+            running = running + 2 * total(values(2 * np.pi * np.arange(1, points // 2, 2) / points))
         last = points
         return running / points
 
@@ -191,9 +176,9 @@ def orthogonality_numeric(n: int, tol: float = 1e-10) -> OrthoReport:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
     # q @ q.T is one symmetric product, so every partial sum stays exactly symmetric
-    evaluate = _periodic(lambda t: q_basis_all(n, np.cos(t)), lambda q: q @ q.T,
-                         _predicted_points(n, tol / 10, n + 1) // 2)
-    gram, points, history, change = _refine(evaluate, tol / 10, n + 1)
+    evaluate = _periodic(lambda t: q_basis_all(n, np.cos(t)), lambda q: q @ q.T)
+    start = _predicted_points(n, tol / 10, n + 1) // 2
+    gram, points, history, change = _refine(evaluate, tol / 10, n + 1, start)
     converged = history[-1] < tol / 10
     unconverged = () if converged else tuple(
         (int(i), int(j)) for i, j in np.argwhere(change >= tol / 10))
@@ -229,11 +214,9 @@ def contour_moment_numeric(n: int, k: int) -> complex:
         f = np.polyval(coeffs, np.exp(2j * t))
         return 2 * (n + 1) * legendre_eval(k, np.cos(t)) / (f.real**2 + f.imag**2)
 
-    # k + 1 rows per point, as when the block P_0..P_k was held, keeps the grid
-    # sizes; an odd k gives an odd integrand about pi/2, whose first doubling
-    # agrees, so it evaluates no finer grid ahead
-    batch = _predicted_points(n, 1e-12, k + 1) // 2 if k % 2 == 0 else BASE_POINTS
-    return complex(_refine(_periodic(integrand, np.sum, batch), 1e-12, k + 1)[0])
+    # an odd k gives an integrand odd about pi/2, whose first doubling agrees
+    start = _predicted_points(n, 1e-12, 2) // 2 if k % 2 == 0 else BASE_POINTS
+    return complex(_refine(_periodic(integrand, np.sum), 1e-12, 2, start)[0])
 
 
 def interval_form_numeric(n: int, i: int, j: int) -> float:
@@ -245,35 +228,18 @@ def interval_form_numeric(n: int, i: int, j: int) -> float:
     the change of variables against the trapezoid path numerically.  The
     node count M is doubled until successive values agree to 1e-13.
 
-    The first call evaluates the nodes of every grid from BASE_POINTS to half
-    the predicted grid, concatenated, in one ``_pstar_pair_kn`` call, and
-    takes each grid's mean from its own slice, bit for bit the value a call
-    per grid gives.  An odd i + j gives an integrand odd in x, whose first
-    doubling agrees, so it evaluates the first grid alone.
+    The M midpoint nodes resolve the integrand as the 2M-point periodic grid
+    does, so the refinement starts at a quarter of the predicted periodic
+    grid.  An odd i + j gives an integrand odd in x, whose first doubling
+    agrees, so it starts at BASE_POINTS.
     """
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i, j <= n")
-    grids = [BASE_POINTS]
-    if (i + j) % 2 == 0:
-        half = _predicted_points(n, 1e-13, n + 1) // 2
-        while grids[-1] < half:
-            grids.append(2 * grids[-1])
-    ahead: dict[int, float] = {}
-
-    def nodes(points: int) -> np.ndarray:
-        m = np.arange(1, points + 1)
-        return np.cos((2 * m - 1) * np.pi / (2 * points))
-
-    def mean(pi, pj, kn) -> float:
-        return float(np.mean(pi * pj / kn))
 
     def value(points: int) -> float:
-        if points == grids[0]:
-            rows = _pstar_pair_kn(n, i, j, np.concatenate([nodes(p) for p in grids]))
-            cuts = np.cumsum(grids[:-1])
-            ahead.update(zip(grids, map(mean, *(np.split(r, cuts) for r in rows))))
-        if points in ahead:
-            return ahead.pop(points)
-        return mean(*_pstar_pair_kn(n, i, j, nodes(points)))
+        m = np.arange(1, points + 1)
+        pi, pj, kn = _pstar_pair_kn(n, i, j, np.cos((2 * m - 1) * np.pi / (2 * points)))
+        return float(np.mean(pi * pj / kn))
 
-    return _refine(value, 1e-13, n + 1)[0]
+    start = _predicted_points(n, 1e-13, 2) // 4 if (i + j) % 2 == 0 else BASE_POINTS
+    return _refine(value, 1e-13, 2, start)[0]

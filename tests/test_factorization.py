@@ -205,6 +205,12 @@ class TestRoots:
             assert lower.imag < 0
             assert abs(upper - lower.conjugate()) < 1e-13
 
+    def test_order_is_the_python_round_order(self):
+        # the roots are sorted on arrays by np.round(re, 12), then im
+        for n in [*range(1, 301), *range(400, 801, 100)]:
+            roots = list(fn_roots(n).roots)
+            assert roots == sorted(roots, key=lambda r: (round(r.re, 12), r.im))
+
     def test_against_high_precision_oracle(self):
         # independent oracle: mpmath polyroots on the exact even-part coefficients
         mpmath.mp.dps = 50

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ortholeg
-from ortholeg import christoffel, factorization, partial_fractions
+from ortholeg import christoffel, factorization, legendre, partial_fractions
 from ortholeg.certificates import certificate
 from ortholeg.cli import main
 from ortholeg.ledger import identity_ledger
@@ -195,6 +195,49 @@ def test_raising_construction_fails_its_check(module, construction, check, ident
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert [(c["n"], c["status"], c["detail"]) for c in lines if c["identity"] == identity] == [
         (1, "fail", "tampered"), (2, "fail", "tampered")]
+
+
+def test_each_support_fact_is_reported(monkeypatch, clean_caches):
+    u, v = partial_fractions.build_abcd(2)
+    u = list(u)
+    u[1] = u[1].shift(-1)
+    u[4] = u[4] - LaurentPoly({-1: u[4].coeff(-1)})
+    v = [v[0].shift(1), *v[1:]]
+    monkeypatch.setattr(partial_fractions, "build_abcd", lambda n: (tuple(u), tuple(v)))
+    cert = partial_fractions.check_support(2)
+    assert cert.status == "fail"
+    assert cert.detail == ("U_1 has negative exponents; U_4 lacks its z^-1 term; "
+                           "V_0 min exponent != -1")
+
+
+# -- a tampered Legendre polynomial fails each identity that reads it ----------
+
+
+@pytest.fixture
+def tampered_p3(monkeypatch, clean_caches):
+    # the recurrence caches P_4 and P_5 built from the tampered P_3
+    original = legendre.legendre_exact
+    original.cache_clear()
+    monkeypatch.setattr(legendre, "legendre_exact",
+                        lambda n: original(n) + LaurentPoly.one() if n == 3 else original(n))
+    yield
+    original.cache_clear()
+
+
+def test_tampered_legendre_polynomial_fails_its_identities(tampered_p3):
+    failed = {(c.identity, c.n) for c in legendre.check_legendre_identities(5) if not c.passed}
+    assert failed == {
+        *(("legendre-christoffel-darboux", n) for n in range(2, 6)),
+        ("legendre-three-term", 2),
+        *(("legendre-derivative-relation", n) for n in range(3, 6)),
+        *(("legendre-derivative-difference", n) for n in range(3, 6)),
+    }
+
+
+def test_tampered_legendre_polynomial_exits_one(tampered_p3, tmp_path, capsys):
+    out = tmp_path / "ledger.jsonl"
+    assert main(["verify-identities", "--n-max", "5", "--output", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- one identity, one place ---------------------------------------------------

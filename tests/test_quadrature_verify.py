@@ -110,8 +110,9 @@ class TestNestedGrids:
     @pytest.mark.parametrize("n", [*range(31), 200])
     def test_matches_the_full_grid_trapezoid_rule(self, n):
         report = orthogonality_numeric(n)
+        start = quadrature_verify._predicted_points(n, 1e-11, n + 1) // 2
         gram, points, history, _ = quadrature_verify._refine(
-            lambda p: _full_grid_gram(n, p), 1e-11, n + 1)
+            lambda p: _full_grid_gram(n, p), 1e-11, n + 1, start)
         assert report.points_used == points
         assert len(report.refinement_history) == len(history)
         assert np.max(np.abs(report.gram - gram)) <= 1e-14
@@ -119,7 +120,7 @@ class TestNestedGrids:
     @pytest.mark.parametrize("n", [0, 7, 40])
     def test_each_point_is_evaluated_once(self, n, monkeypatch):
         # the half period 0..pi of the final grid: points_used / 2 + 1 angles;
-        # one call for every grid up to half the predicted one, then one per doubling
+        # one call for the start grid, half the predicted one, then one per doubling
         counted = []
 
         def counting(degree, x):
@@ -128,11 +129,10 @@ class TestNestedGrids:
 
         monkeypatch.setattr(quadrature_verify, "q_basis_all", counting)
         report = orthogonality_numeric(n)
-        batch = max(quadrature_verify._predicted_points(n, 1e-11, n + 1) // 2, BASE_POINTS)
-        ahead = (batch // BASE_POINTS).bit_length() - 1
+        start = max(quadrature_verify._predicted_points(n, 1e-11, n + 1) // 2, BASE_POINTS)
         assert sum(counted) == report.points_used // 2 + 1
-        assert counted[0] == batch // 2 + 1
-        assert len(counted) == len(report.refinement_history) + 1 - ahead
+        assert counted[0] == start // 2 + 1
+        assert len(counted) == len(report.refinement_history) + 1
 
     def test_gram_is_exactly_symmetric(self):
         for n in (3, 9, 20, 64):
@@ -196,10 +196,16 @@ class TestContourMoment:
 
         monkeypatch.setattr(quadrature_verify, "legendre_eval", counting)
         contour_moment_numeric(n, k)
-        half = quadrature_verify._predicted_points(n, 1e-12, k + 1) // 4
+        half = quadrature_verify._predicted_points(n, 1e-12, 2) // 4
         doublings = len(counted) - 1
         assert counted == [half + 1] + [half * 2**m for m in range(doublings)]
         assert sum(counted) == evaluated == half * 2**doublings + 1
+
+    def test_degree_2n_converges_below_the_degree_cap(self, monkeypatch):
+        # the integrand holds two recurrence rows per point, whatever k, so the
+        # entry budget leaves P_1600 at n = 800 the grid it needs
+        levels, _ = _levels(monkeypatch, contour_moment_numeric, 800, 1600)
+        assert abs(levels[-1][1] - levels[-2][1]) < 1e-12
 
 
 class TestIntervalForm:
@@ -234,8 +240,8 @@ def _levels(monkeypatch, form, *args):
     levels = []
     refine = quadrature_verify._refine
 
-    def recording(evaluate, tol, rows):
-        return refine(lambda p: levels.append((p, evaluate(p))) or levels[-1][1], tol, rows)
+    def recording(evaluate, tol, rows, start=BASE_POINTS):
+        return refine(lambda p: levels.append((p, evaluate(p))) or levels[-1][1], tol, rows, start)
 
     monkeypatch.setattr(quadrature_verify, "_refine", recording)
     result = form(*args)
@@ -249,9 +255,11 @@ def _same(a, b):
 
 class TestPredictedGrid:
     @pytest.mark.parametrize("n", [0, 1, 7, 40, 120, 200])
-    def test_forms_match_grid_by_grid_evaluation_bit_for_bit(self, n, monkeypatch):
-        # against the same forms with nothing evaluated ahead: each grid's value
-        # and every returned field is exactly equal, not within a tolerance
+    def test_forms_match_the_ladder_from_their_start_grid(self, n, monkeypatch):
+        # against the same forms refined from BASE_POINTS: each starts later on
+        # the same grids and stops on the same one.  The Gram and contour sum
+        # their start grid in one pass, so they agree to roundoff; the interval
+        # form sums each grid afresh, so it agrees bit for bit
         calls = [(orthogonality_numeric, n)]
         calls += [(contour_moment_numeric, n, k) for k in (0, 2 * n - 1, 2 * n) if n > 0]
         calls += [(interval_form_numeric, n, n // 2, n // 2)]
@@ -261,14 +269,18 @@ class TestPredictedGrid:
             with monkeypatch.context() as m:
                 m.setattr(quadrature_verify, "_predicted_points", lambda *a: BASE_POINTS)
                 base_levels, base = _levels(m, form, *args)
-            assert [p for p, _ in levels] == [p for p, _ in base_levels]
-            assert all(_same(v, w) for (_, v), (_, w) in zip(levels, base_levels))
+            grids = [p for p, _ in base_levels]
+            assert [p for p, _ in levels] == grids[grids.index(levels[0][0]):]
+            for (_, v), (_, w) in zip(levels, base_levels[-len(levels):]):
+                assert v == w if form is interval_form_numeric else np.max(np.abs(v - w)) <= 1e-15
             if form is orthogonality_numeric:
-                assert np.array_equal(result.gram, base.gram)
+                assert np.max(np.abs(result.gram - base.gram)) <= 1e-15
                 assert result.points_used == base.points_used
-                assert result.refinement_history == base.refinement_history
+                assert len(result.refinement_history) == len(levels) - 1
                 assert result.converged == base.converged
                 assert result.unconverged_entries == base.unconverged_entries
+            elif form is contour_moment_numeric:
+                assert result.imag == 0.0 and abs(result - base) <= 1e-15
             else:
                 assert result == base
 
@@ -302,20 +314,25 @@ class TestPredictedGrid:
 
     @pytest.mark.parametrize("n, i, j", [(20, 0, 0), (120, 60, 60), (200, 3, 151)])
     def test_interval_evaluates_the_nodes_of_its_grids_once(self, n, i, j, monkeypatch):
-        # the midpoint nodes of 64, 128, ... up to the final grid, and no more
+        # the midpoint nodes of the start grid, twice it, ... up to the final
+        # grid, one call per grid, and no more; an even i + j starts at a
+        # quarter of the predicted periodic grid
         counted = []
         original = quadrature_verify._pstar_pair_kn
         monkeypatch.setattr(quadrature_verify, "_pstar_pair_kn",
                             lambda *a: counted.append(np.size(a[-1])) or original(*a))
         levels, _ = _levels(monkeypatch, interval_form_numeric, n, i, j)
-        assert sum(counted) == sum(p for p, _ in levels)
-        assert len(counted) < len(levels)
+        assert counted == [p for p, _ in levels]
+        start = quadrature_verify._predicted_points(n, 1e-13, 2) // 4
+        assert levels[0][0] == (max(start, BASE_POINTS) if (i + j) % 2 == 0 else BASE_POINTS)
 
     def test_no_call_passes_the_entry_budget(self, monkeypatch):
-        # 11 rows per point leave 256 points as the last grid: the prediction
-        # for tol 1e-300 is clamped there, so the Gram evaluates 128 ahead
+        # 11 rows per point leave 256 points as the Gram's last grid: the
+        # prediction for tol 1e-300 is clamped there, so it starts at 128; the
+        # contour and interval forms hold two rows, which leave 1024
         monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 11 * 256)
         assert quadrature_verify._predicted_points(10, 1e-300, 11) == 256
+        assert quadrature_verify._last_grid(2) == 1024
         sizes = {"q_basis_all": [], "legendre_eval": [], "_pstar_pair_kn": []}
         for name, counted in sizes.items():
             original = getattr(quadrature_verify, name)
@@ -326,19 +343,19 @@ class TestPredictedGrid:
         interval_form_numeric(10, 5, 5)
         assert report.points_used == 256 and not report.converged
         assert sizes["q_basis_all"] == [65, 64]
-        assert max(sizes["legendre_eval"]) <= 256 // 2 + 1
-        assert max(sizes["_pstar_pair_kn"]) <= 256
+        assert max(sizes["legendre_eval"]) <= 1024 // 2 + 1
+        assert max(sizes["_pstar_pair_kn"]) <= 1024
 
     @pytest.mark.parametrize("n, tol, points", [(5, 1e6, 128), (0, 1e-300, 128), (0, 1e6, 128),
                                                 (5, 1e-300, 2**20)])
-    def test_extreme_tolerances_refine_as_grid_by_grid(self, n, tol, points, monkeypatch):
+    def test_extreme_tolerances_stop_where_the_ladder_does(self, n, tol, points, monkeypatch):
         assert quadrature_verify._predicted_points(n, tol, n + 1) >= BASE_POINTS
         report = orthogonality_numeric(n, tol=tol)
         monkeypatch.setattr(quadrature_verify, "_predicted_points", lambda *a: BASE_POINTS)
         base = orthogonality_numeric(n, tol=tol)
         assert report.points_used == base.points_used == points
-        assert np.array_equal(report.gram, base.gram)
-        assert report.refinement_history == base.refinement_history
+        assert report.converged == base.converged
+        assert np.max(np.abs(report.gram - base.gram)) <= 1e-15
 
     @pytest.mark.parametrize("n", [0, 1, 5, 200])
     @pytest.mark.parametrize("tol", [1.0, 1e6, 1e-300])
