@@ -107,6 +107,18 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _gram_json_text(payload) -> str:
+    """``_json_text(payload)``, byte for byte, for a payload whose ``gram`` follows ``n``.
+
+    With ``indent`` set, json encodes every float in Python; each row is
+    encoded here without it, in C, and re-indented, as no float holds ", ".
+    """
+    rows = ",\n".join("    [\n      " + json.dumps(row)[1:-1].replace(", ", ",\n      ") + "\n    ]"
+                      for row in payload["gram"])
+    return _json_text({**payload, "gram": []}).replace(
+        '"gram": []', '"gram": [\n' + rows + "\n  ]", 1)
+
+
 def _cmd_verify_identities(args) -> tuple[str, bool]:
     certs = identity_ledger(args.n_max)
     ok = all(c.passed for c in certs)
@@ -131,7 +143,7 @@ def _cmd_verify_theorem(args) -> tuple[str, bool]:
                 f"max deviation={deviation:.3e} status={'pass' if ok else 'fail'}\n"), ok
     payload = report.to_json()
     payload["status"] = "pass" if ok else "fail"
-    return _json_text(payload), ok
+    return _gram_json_text(payload), ok
 
 
 def _cmd_factor(args) -> tuple[str, bool]:

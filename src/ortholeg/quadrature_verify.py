@@ -17,9 +17,21 @@ be exact because the integrand is not a polynomial.
 The uniform grids of the periodic and contour forms nest: the even points of
 the 2M grid are the M grid (Trefethen & Weideman, "The exponentially
 convergent trapezoidal rule", SIAM Review 2014), so each doubling evaluates
-only the M points it adds.  Both integrands are real and even about t = 0,
-so only the angles in [0, pi] are evaluated, each once (``_periodic``).
-The interval form's midpoint nodes do not nest.
+only the M points it adds.  Every integrand is real and even about t = 0,
+and even or odd about t = pi/2: under t -> pi - t, cos t changes sign,
+Q_i(-x) = (-1)^i Q_i(x), P_k(-x) = (-1)^k P_k(x), and |F_n(e^{it})|^2 does
+not change, as F_n is a real polynomial in z^2.  So ``_periodic`` evaluates
+the quarter period [0, pi/2] only, each angle once, of an integrand folded
+about pi/2, h(t) = f(t) + f(pi - t):
+
+- the Gram's h is 2 (E E^T + O O^T), E and O the even- and odd-degree rows
+  of the Q basis, so every entry with i + j odd is exactly 0;
+- an even-k contour integrand gives h = 2f, and an odd-k one is evaluated at
+  both t and pi - t, so its moment, 0 in exact arithmetic, is measured.
+
+The interval form's midpoint nodes do not nest, but they are symmetric about
+x = 0: an even i + j averages over the positive half of them, and an odd
+i + j over all of them.
 
 Every root of F_n has |z|^2 <= ``fn_root_radius_bound(n)`` < 1, so the
 integrands are analytic in a strip whose half-width the bound gives, and the
@@ -138,26 +150,27 @@ def _refine(evaluate, tol: float, rows: int, start: int = BASE_POINTS):
 
 
 def _periodic(values, total):
-    """The ``evaluate(points)`` of ``_refine`` for an integrand even about t = 0.
+    """The ``evaluate(points)`` of ``_refine`` for an integrand folded about pi/2.
 
-    ``values(t)`` evaluates the integrand at the angles t along its last axis,
-    and ``total`` sums along that axis.  The sum S_M over the M angles
-    2 pi m / M counts m = 0..M/2 only: the ends 0 and pi once, every angle
-    between twice.  The first call evaluates those angles of its grid in one
-    ``values`` call.  Each later call must double the grid before, whose
-    angles are the even m, so S_2M adds twice the odd m < M.  Returns S_M / M.
+    ``values(t)`` evaluates h(t) = f(t) + f(pi - t) at the angles t along its
+    last axis, for f even about t = 0, and ``total`` sums along that axis.
+    The sum S_M of f over the M angles 2 pi m / M is then the sum of h over
+    m = 0..M/4 only: the ends 0 and pi/2 once, every angle between twice.  The
+    first call evaluates those angles of its grid in one ``values`` call.  Each
+    later call must double the grid before, whose angles are the even m, so
+    S_2M adds twice the odd m < M/2.  Returns S_M / M.
     """
     last = running = None
 
     def evaluate(points: int):
         nonlocal last, running
         if last is None:
-            v = values(2 * np.pi * np.arange(points // 2 + 1) / points)
+            v = values(2 * np.pi * np.arange(points // 4 + 1) / points)
             running = 2 * total(v[..., 1:-1]) + total(v[..., :1]) + total(v[..., -1:])
         elif points != 2 * last:
             raise ValueError(f"a grid of {points} points does not double the last, {last}")
         else:
-            running = running + 2 * total(values(2 * np.pi * np.arange(1, points // 2, 2) / points))
+            running = running + 2 * total(values(2 * np.pi * np.arange(1, points // 4, 2) / points))
         last = points
         return running / points
 
@@ -169,14 +182,24 @@ def orthogonality_numeric(n: int, tol: float = 1e-10) -> OrthoReport:
 
     The uniform grid is doubled until successive matrices agree entrywise to
     tol/10; entries still moving at the grid cap are reported as
-    unconverged rather than raising.
+    unconverged rather than raising.  The Q basis is evaluated on the quarter
+    period [0, pi/2] only (``_periodic``), and the entries with i + j odd,
+    whose integrand is odd about pi/2, are exactly 0 and never unconverged.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
-    # q @ q.T is one symmetric product, so every partial sum stays exactly symmetric
-    evaluate = _periodic(lambda t: q_basis_all(n, np.cos(t)), lambda q: q @ q.T)
+
+    def total(q):
+        # h = 2 (E E^T + O O^T) by parity of degree; each block is one symmetric
+        # product, so every partial sum stays exactly symmetric
+        gram = np.zeros((n + 1, n + 1))
+        for rows in (slice(0, None, 2), slice(1, None, 2)):
+            gram[rows, rows] = 2 * (q[rows] @ q[rows].T)
+        return gram
+
+    evaluate = _periodic(lambda t: q_basis_all(n, np.cos(t)), total)
     start = _predicted_points(n, tol / 10, n + 1) // 2
     gram, points, history, change = _refine(evaluate, tol / 10, n + 1, start)
     converged = history[-1] < tol / 10
@@ -203,6 +226,10 @@ def contour_moment_numeric(n: int, k: int) -> complex:
     so the moment is the mean of the real 2(n+1) P_k(cos t) / |F_n(z)|^2.  The
     grid is doubled until successive values agree to 1e-12.  The imaginary
     part is exactly 0; the real part converges to the exact rational moment.
+
+    The integrand f is even about pi/2 for an even k, so the quarter period
+    sums 2f; for an odd k it is odd, and f is evaluated at both t and pi - t,
+    so the moment, 0 in exact arithmetic, is measured on the whole half period.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -214,9 +241,15 @@ def contour_moment_numeric(n: int, k: int) -> complex:
         f = np.polyval(coeffs, np.exp(2j * t))
         return 2 * (n + 1) * legendre_eval(k, np.cos(t)) / (f.real**2 + f.imag**2)
 
+    def folded(t):
+        if k % 2 == 0:
+            return 2 * integrand(t)
+        v = integrand(np.concatenate([t, np.pi - t]))
+        return v[:t.size] + v[t.size:]
+
     # an odd k gives an integrand odd about pi/2, whose first doubling agrees
     start = _predicted_points(n, 1e-12, 2) // 2 if k % 2 == 0 else BASE_POINTS
-    return complex(_refine(_periodic(integrand, np.sum), 1e-12, 2, start)[0])
+    return complex(_refine(_periodic(folded, np.sum), 1e-12, 2, start)[0])
 
 
 def interval_form_numeric(n: int, i: int, j: int) -> float:
@@ -230,14 +263,16 @@ def interval_form_numeric(n: int, i: int, j: int) -> float:
 
     The M midpoint nodes resolve the integrand as the 2M-point periodic grid
     does, so the refinement starts at a quarter of the predicted periodic
-    grid.  An odd i + j gives an integrand odd in x, whose first doubling
-    agrees, so it starts at BASE_POINTS.
+    grid.  The nodes are symmetric about x = 0 and the integrand is even in x
+    for an even i + j, so its mean is taken over the M/2 positive nodes.  An
+    odd i + j gives an integrand odd in x, averaged over all M nodes, whose
+    first doubling agrees, so it starts at BASE_POINTS.
     """
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i, j <= n")
 
     def value(points: int) -> float:
-        m = np.arange(1, points + 1)
+        m = np.arange(1, (points // 2 if (i + j) % 2 == 0 else points) + 1)
         pi, pj, kn = _pstar_pair_kn(n, i, j, np.cos((2 * m - 1) * np.pi / (2 * points)))
         return float(np.mean(pi * pj / kn))
 

@@ -56,6 +56,17 @@ def test_verify_theorem(tmp_path):
     assert len(payload["gram"]) == 11
 
 
+@pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "1"), ("--n", "5"), ("--n", "40"),
+                                  ("--n", "3", "--tol", "1e-300")])
+def test_verify_theorem_json_is_json_dumps_with_indent_two(tmp_path, argv):
+    # the gram rows are written apart from json's indenting encoder, byte for byte
+    code, text = run(tmp_path, "verify-theorem", *argv)
+    payload = json.loads(text)
+    assert code == (0 if payload["converged"] else 1)
+    assert argv[-1] != "1e-300" or payload["unconverged_entries"]
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
 def test_moments_payload(tmp_path):
     code, text = run(tmp_path, "moments", "--n", "1")
     assert code == 0

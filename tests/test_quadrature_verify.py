@@ -119,7 +119,7 @@ class TestNestedGrids:
 
     @pytest.mark.parametrize("n", [0, 7, 40])
     def test_each_point_is_evaluated_once(self, n, monkeypatch):
-        # the half period 0..pi of the final grid: points_used / 2 + 1 angles;
+        # the quarter period 0..pi/2 of the final grid: points_used / 4 + 1 angles;
         # one call for the start grid, half the predicted one, then one per doubling
         counted = []
 
@@ -130,14 +130,26 @@ class TestNestedGrids:
         monkeypatch.setattr(quadrature_verify, "q_basis_all", counting)
         report = orthogonality_numeric(n)
         start = max(quadrature_verify._predicted_points(n, 1e-11, n + 1) // 2, BASE_POINTS)
-        assert sum(counted) == report.points_used // 2 + 1
-        assert counted[0] == start // 2 + 1
+        assert sum(counted) == report.points_used // 4 + 1
+        assert counted[0] == start // 4 + 1
         assert len(counted) == len(report.refinement_history) + 1
 
     def test_gram_is_exactly_symmetric(self):
         for n in (3, 9, 20, 64):
             gram = orthogonality_numeric(n).gram
             assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 200])
+    def test_odd_parity_entries_are_exactly_zero(self, n):
+        gram = orthogonality_numeric(n).gram
+        i, j = np.indices(gram.shape)
+        assert np.all(gram[(i + j) % 2 == 1] == 0.0)
+        assert np.all(gram[(i + j) % 2 == 0] != 0.0)
+
+    def test_only_even_parity_entries_stay_unconverged(self):
+        report = orthogonality_numeric(5, tol=1e-300)
+        assert report.unconverged_entries
+        assert all((i + j) % 2 == 0 for i, j in report.unconverged_entries)
 
     def test_grids_must_double(self):
         evaluate = quadrature_verify._periodic(np.ones_like, np.sum)
@@ -168,8 +180,9 @@ class TestContourMoment:
     @pytest.mark.parametrize("n, k", [(1, 0), (1, 2), (5, 3), (20, 0), (20, 17), (120, 0),
                                       (120, 239), (200, 0), (200, 398)])
     def test_matches_the_full_circle(self, n, k):
-        # the real half-period integrand gives the real part of the complex
-        # whole-circle mean on the same grid, and an imaginary part of exactly 0
+        # the real integrand, folded about pi/2 on the quarter period, gives the
+        # real part of the complex whole-circle mean on the same grid, and an
+        # imaginary part of exactly 0
         coeffs = fn_float_coeffs(n)
 
         def integrand(z):
@@ -182,10 +195,10 @@ class TestContourMoment:
         assert moment.imag == 0.0
         assert abs(moment.real - full.real) <= 1e-14
 
-    @pytest.mark.parametrize("n, k, evaluated", [(20, 0, 513), (120, 238, 2049),
-                                                 (200, 398, 4097)])
+    @pytest.mark.parametrize("n, k, evaluated", [(20, 0, 257), (120, 238, 1025),
+                                                 (200, 398, 2049)])
     def test_each_angle_is_evaluated_once(self, n, k, evaluated, monkeypatch):
-        # the P/4 + 1 angles of [0, pi] on half the predicted grid P, then the
+        # the P/8 + 1 angles of [0, pi/2] on half the predicted grid P, then the
         # odd angles of each later doubling; even k only, as an odd-k
         # integrand converges at once
         counted = []
@@ -196,7 +209,7 @@ class TestContourMoment:
 
         monkeypatch.setattr(quadrature_verify, "legendre_eval", counting)
         contour_moment_numeric(n, k)
-        half = quadrature_verify._predicted_points(n, 1e-12, 2) // 4
+        half = quadrature_verify._predicted_points(n, 1e-12, 2) // 8
         doublings = len(counted) - 1
         assert counted == [half + 1] + [half * 2**m for m in range(doublings)]
         assert sum(counted) == evaluated == half * 2**doublings + 1
@@ -218,9 +231,10 @@ class TestIntervalForm:
         assert interval_form_numeric(2, 0, 2) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_block_reference_bit_for_bit(self):
-        # the whole (n+1)-row block at every grid, as before rows were streamed
+        # the whole (n+1)-row block at every grid, as before rows were streamed,
+        # on the positive half of the nodes for an even i + j
         def block_value(n, i, j, points):
-            m = np.arange(1, points + 1)
+            m = np.arange(1, (points // 2 if (i + j) % 2 == 0 else points) + 1)
             pstar, kn = _pstar_kn(n, np.cos((2 * m - 1) * np.pi / (2 * points)))
             return float(np.mean(pstar[i] * pstar[j] / kn))
 
@@ -295,7 +309,7 @@ class TestPredictedGrid:
         for n in [*range(1, 201), 800]:
             counted.clear()
             report = orthogonality_numeric(n)
-            assert 2 * (counted[0] - 1) <= report.points_used
+            assert 4 * (counted[0] - 1) <= report.points_used
 
     @pytest.mark.parametrize("n", [1, 20, 60, 120, 200])
     def test_contour_evaluates_no_finer_grid_than_it_uses(self, n, monkeypatch):
@@ -309,20 +323,22 @@ class TestPredictedGrid:
         for k in (0, 2 * n):
             counted.clear()
             levels, _ = _levels(monkeypatch, contour_moment_numeric, n, k)
-            # the first call holds the half period of one grid, 0..pi
-            assert 2 * (counted[0] - 1) <= levels[-1][0]
+            # the first call holds the quarter period of one grid, 0..pi/2
+            assert 4 * (counted[0] - 1) <= levels[-1][0]
 
-    @pytest.mark.parametrize("n, i, j", [(20, 0, 0), (120, 60, 60), (200, 3, 151)])
+    @pytest.mark.parametrize("n, i, j", [(20, 0, 0), (120, 60, 60), (200, 3, 151),
+                                         (5, 2, 3), (60, 0, 17), (200, 3, 150)])
     def test_interval_evaluates_the_nodes_of_its_grids_once(self, n, i, j, monkeypatch):
         # the midpoint nodes of the start grid, twice it, ... up to the final
-        # grid, one call per grid, and no more; an even i + j starts at a
-        # quarter of the predicted periodic grid
+        # grid, one call per grid, and no more: the positive half of them for
+        # an even i + j, which starts at a quarter of the predicted periodic
+        # grid, and all of them for an odd i + j
         counted = []
         original = quadrature_verify._pstar_pair_kn
         monkeypatch.setattr(quadrature_verify, "_pstar_pair_kn",
                             lambda *a: counted.append(np.size(a[-1])) or original(*a))
         levels, _ = _levels(monkeypatch, interval_form_numeric, n, i, j)
-        assert counted == [p for p, _ in levels]
+        assert counted == [p // 2 if (i + j) % 2 == 0 else p for p, _ in levels]
         start = quadrature_verify._predicted_points(n, 1e-13, 2) // 4
         assert levels[0][0] == (max(start, BASE_POINTS) if (i + j) % 2 == 0 else BASE_POINTS)
 
@@ -342,9 +358,9 @@ class TestPredictedGrid:
         contour_moment_numeric(10, 10)
         interval_form_numeric(10, 5, 5)
         assert report.points_used == 256 and not report.converged
-        assert sizes["q_basis_all"] == [65, 64]
-        assert max(sizes["legendre_eval"]) <= 1024 // 2 + 1
-        assert max(sizes["_pstar_pair_kn"]) <= 1024
+        assert sizes["q_basis_all"] == [33, 32]
+        assert max(sizes["legendre_eval"]) <= 1024 // 4 + 1
+        assert max(sizes["_pstar_pair_kn"]) <= 1024 // 2
 
     @pytest.mark.parametrize("n, tol, points", [(5, 1e6, 128), (0, 1e-300, 128), (0, 1e6, 128),
                                                 (5, 1e-300, 2**20)])
@@ -363,3 +379,55 @@ class TestPredictedGrid:
         points = quadrature_verify._predicted_points(n, tol, n + 1)
         assert BASE_POINTS <= points <= quadrature_verify._last_grid(n + 1)
         assert points & (points - 1) == 0
+
+
+class TestFold:
+    @pytest.mark.parametrize("n, k", [(5, 3), (20, 17), (120, 239)])
+    def test_odd_k_contour_evaluates_the_whole_symmetric_grid(self, n, k, monkeypatch):
+        # the integrand at t and pi - t for each angle t of [0, pi/2], one call per grid
+        counted = []
+        monkeypatch.setattr(quadrature_verify, "legendre_eval",
+                            lambda degree, x: counted.append(np.size(x)) or legendre_eval(degree, x))
+        levels, _ = _levels(monkeypatch, contour_moment_numeric, n, k)
+        grids = [p for p, _ in levels]
+        assert counted == [2 * (grids[0] // 4 + 1)] + [p // 4 for p in grids[1:]]
+
+    @pytest.mark.parametrize("n", [20, 37, 55, 71, 93, 110, 128, 149, 166, 181, 200])
+    def test_forms_match_unfolded_oracles(self, n, monkeypatch):
+        # each form against its integrand unfolded, on the whole period or on
+        # all nodes and evaluated afresh at every grid from the same start:
+        # the same grids, the same stop, the same values to roundoff
+        coeffs = fn_float_coeffs(n)[::-1]
+
+        def contour(k, points):
+            t = 2 * np.pi * np.arange(points) / points
+            f = np.polyval(coeffs, np.exp(2j * t))
+            return np.mean(2 * (n + 1) * legendre_eval(k, np.cos(t)) / (f.real**2 + f.imag**2))
+
+        def interval(i, j, points):
+            m = np.arange(1, points + 1)
+            pstar, kn = _pstar_kn(n, np.cos((2 * m - 1) * np.pi / (2 * points)))
+            return float(np.mean(pstar[i] * pstar[j] / kn))
+
+        levels, report = _levels(monkeypatch, orthogonality_numeric, n)
+        gram, points, history, _ = quadrature_verify._refine(
+            lambda p: _full_grid_gram(n, p), 1e-11, n + 1, levels[0][0])
+        assert levels[-1][0] == report.points_used == points
+        assert len(report.refinement_history) == len(history)
+        assert report.converged == (history[-1] < 1e-11)
+        i, j = np.indices(gram.shape)
+        even = (i + j) % 2 == 0
+        assert np.max(np.abs(report.gram - gram)[even]) <= 1e-14
+        assert np.all(report.gram[~even] == 0.0)
+        for k in (0, 1, n, 2 * n - 1, 2 * n):
+            levels, moment = _levels(monkeypatch, contour_moment_numeric, n, k)
+            value, points, _, _ = quadrature_verify._refine(
+                lambda p: contour(k, p), 1e-12, 2, levels[0][0])
+            assert levels[-1][0] == points
+            assert moment.imag == 0.0 and abs(moment.real - value) <= 1e-14
+        for i, j in ((0, 0), (n // 2, n // 2), (1, n), (n // 3, n - n // 3), (n - 1, n)):
+            levels, result = _levels(monkeypatch, interval_form_numeric, n, i, j)
+            value, points, _, _ = quadrature_verify._refine(
+                lambda p: interval(i, j, p), 1e-13, 2, levels[0][0])
+            assert levels[-1][0] == points
+            assert abs(result - value) <= 1e-15
