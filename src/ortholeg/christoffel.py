@@ -59,7 +59,7 @@ def kn_eval(n: int, x):
     return _pstar_kn(n, x)[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def kn_exact(n: int) -> LaurentPoly:
     """Exact degree-2n polynomial K_n, certified against the closed form."""
     sum_form = _kn_exact_sum(n)

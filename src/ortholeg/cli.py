@@ -5,6 +5,9 @@ together with machine-readable outputs.  All flags are long-form; re-running
 a command with identical flags produces byte-identical artifacts (seeded,
 counter-based randomness and deterministic serialization throughout).
 
+Every artifact is rendered here: JSON by ``_json_text``, CSV by ``_csv_text``
+and the ledger's JSON lines by ``ledger.ledger_lines``.
+
 Exit codes: 0 when every emitted certificate passes, 1 when any check fails
 (an exact construction that fails its own check included, and a fit whose
 sample misses the stability event), 2 for invalid configuration or an
@@ -103,20 +106,40 @@ def _emit(text: str, output: str | None) -> None:
         raise ValueError(f"could not write --output: {exc.strerror or exc}") from exc
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\n"``, byte for byte, for a payload with str keys.
 
-
-def _gram_json_text(payload) -> str:
-    """``_json_text(payload)``, byte for byte, for a payload whose ``gram`` follows ``n``.
-
-    With ``indent`` set, json encodes every float in Python; each row is
-    encoded here without it, in C, and re-indented, as no float holds ", ".
+    With ``indent`` set, json encodes every float in Python.  A top-level list
+    of floats, and each row of a top-level list of them, is encoded here in C
+    without it and re-indented, as no float repr holds ", ".
     """
-    rows = ",\n".join("    [\n      " + json.dumps(row)[1:-1].replace(", ", ",\n      ") + "\n    ]"
-                      for row in payload["gram"])
-    return _json_text({**payload, "gram": []}).replace(
-        '"gram": []', '"gram": [\n' + rows + "\n  ]", 1)
+    fields = ",\n  ".join(f"{json.dumps(key)}: {_json_value(value)}" for key, value in payload.items())
+    return "{\n  " + fields + "\n}\n" if payload else "{}\n"
+
+
+def _json_value(value) -> str:
+    """``json.dumps(value, indent=2)`` with every line after the first shifted two spaces right."""
+    if _is_floats(value):
+        return _float_rows([value], "\n  ")
+    if isinstance(value, list) and value and all(map(_is_floats, value)):
+        return "[\n    " + _float_rows(value, "\n    ") + "\n  ]"
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _is_floats(value) -> bool:
+    return isinstance(value, list) and set(map(type, value)) == {float}  # and non-empty
+
+
+def _float_rows(rows: list, newline: str) -> str:
+    inner = newline + "  "
+    return ("," + newline).join("[" + inner + json.dumps(row)[1:-1].replace(", ", "," + inner) + newline + "]"
+                                for row in rows)
+
+
+def _csv_text(header: list[str], columns) -> str:
+    """A header line, then one line of float reprs per row of ``columns``, float arrays."""
+    rows = map(",".join, zip(*(map(float.__repr__, column) for column in columns)))  # float64 too
+    return ",".join(header) + "\n" + "\n".join(rows) + "\n"
 
 
 def _cmd_verify_identities(args) -> tuple[str, bool]:
@@ -137,13 +160,13 @@ def _cmd_verify_theorem(args) -> tuple[str, bool]:
     deviation = max(report.max_offdiag, report.max_diag_dev)
     ok = report.converged and deviation < args.tol
     if args.format == "csv":
-        return quadrature_verify.gram_to_csv(report.gram), ok
+        return _csv_text([f"g{j}" for j in range(args.n + 1)], report.gram.T), ok
     if args.format == "text":
         return (f"n={report.n} points={report.points_used} "
                 f"max deviation={deviation:.3e} status={'pass' if ok else 'fail'}\n"), ok
     payload = report.to_json()
     payload["status"] = "pass" if ok else "fail"
-    return _gram_json_text(payload), ok
+    return _json_text(payload), ok
 
 
 def _cmd_factor(args) -> tuple[str, bool]:
@@ -200,7 +223,7 @@ def _cmd_gram(args) -> tuple[str, bool]:
     gram = sampling_ls.empirical_gram(args.n, batch)
     deviation = float(np.max(np.abs(np.linalg.eigvalsh(gram) - 1.0)))
     if args.format == "csv":
-        return quadrature_verify.gram_to_csv(gram), True
+        return _csv_text([f"g{j}" for j in range(args.n + 1)], gram.T), True
     if args.format == "text":
         return f"n={args.n} count={args.count} seed={args.seed} deviation={deviation:.6f}\n", True
     payload = {
@@ -218,7 +241,7 @@ def _cmd_gram(args) -> tuple[str, bool]:
 def _cmd_sample(args) -> tuple[str, bool]:
     batch = sampling_ls.sample_arcsine(args.count, args.seed)
     if args.format == "csv":
-        return sampling_ls.samples_to_csv(batch), True
+        return _csv_text(["x"], [batch.points]), True
     if args.format == "text":
         return f"count={batch.count} seed={batch.seed} generator={batch.generator_name}\n", True
     return _json_text(batch.to_json()), True
@@ -231,7 +254,7 @@ def _cmd_fit(args) -> tuple[str, bool]:
     ok = report.stable
     if args.format == "csv":
         xs = np.linspace(-1.0, 1.0, 201)
-        return sampling_ls.predictions_to_csv(xs, sampling_ls.predict(report, xs)), ok
+        return _csv_text(["x", "prediction"], [xs, sampling_ls.predict(report, xs)]), ok
     if args.format == "text":
         return (f"n={report.n} count={report.sample_count} seed={report.seed} "
                 f"residual rms={report.residual_rms:.6e} "

@@ -15,7 +15,6 @@ disk, which is what makes the contour-moment bookkeeping work.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,9 +123,9 @@ class FactorPair:
         return cls(n=n, f=f, g=g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def factor_pair(n: int) -> FactorPair:
-    """``FactorPair.build(n)``, built once per degree for the exact checks."""
+    """``FactorPair.build(n)``, kept for the degree the exact checks have in hand."""
     return FactorPair.build(n)
 
 
@@ -307,11 +306,8 @@ def fn_roots(n: int) -> RootReport:
     radius = abs(monic[-1]) ** (1.0 / n)
     start = radius * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
     w_roots = _aberth_polish(monic, start)
-    zs = []
-    for w in w_roots:
-        s = cmath.sqrt(w)
-        zs += [s, -s]
-    zs = np.array(zs)
+    s = np.sqrt(w_roots)
+    zs = np.column_stack((s, -s)).ravel()
     zs = zs[np.lexsort((zs.imag, np.round(zs.real, 12)))]  # ties conjugates: -im first
     residuals = np.abs(np.polyval(even, zs * zs))
     scale = float(n + 1)

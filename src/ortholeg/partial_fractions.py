@@ -30,7 +30,7 @@ from .legendre import legendre_on_circle, legendre_product_expand
 from .ratpoly import JOUKOWSKI, LaurentPoly
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def build_abcd(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]]:
     """The splitting family (U_0..U_{2n}, V_0..V_{2n}) of degree n.
 
@@ -143,7 +143,7 @@ def _split_residues(u: LaurentPoly, v: LaurentPoly, pair: FactorPair) -> Fractio
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def moments_table(n: int) -> tuple[Fraction, ...]:
     """Exact unit-circle moments (1/2 pi i) of 2(n+1) z^{2n-1} P_k(J) / (F_n G_n), k = 0..2n.
 

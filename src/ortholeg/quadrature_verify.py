@@ -59,14 +59,6 @@ MAX_POINTS = 2**20
 MAX_ENTRIES = 2**25
 
 
-def gram_to_csv(gram: np.ndarray) -> str:
-    """A Gram matrix as CSV: a g0,...,gn header, then one row per line."""
-    lines = [",".join(f"g{j}" for j in range(len(gram)))]
-    for row in gram:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class OrthoReport:
     """Computed Gram matrix of the weighted inner products with deviation stats."""

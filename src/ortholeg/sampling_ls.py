@@ -180,15 +180,3 @@ def predict(report: FitReport, x):
         return float(result)
     return result
 
-
-def samples_to_csv(batch: SampleBatch) -> str:
-    """CSV dump of a batch's points under an ``x`` header."""
-    lines = ["x"] + [repr(float(x)) for x in batch.points]
-    return "\n".join(lines) + "\n"
-
-
-def predictions_to_csv(xs, predictions) -> str:
-    lines = ["x,prediction"] + [
-        f"{float(x)!r},{float(p)!r}" for x, p in zip(xs, predictions)
-    ]
-    return "\n".join(lines) + "\n"

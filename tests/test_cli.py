@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ortholeg import cli
+from ortholeg import cli, quadrature_verify, sampling_ls
 from ortholeg.cli import main
 
 # SHA-256 of exact (pure Fraction) artifacts, pinned so that refactors of the
@@ -56,15 +59,84 @@ def test_verify_theorem(tmp_path):
     assert len(payload["gram"]) == 11
 
 
-@pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "1"), ("--n", "5"), ("--n", "40"),
-                                  ("--n", "3", "--tol", "1e-300")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-theorem", "--n", "0"),
+        ("verify-theorem", "--n", "1"),
+        ("verify-theorem", "--n", "5"),
+        ("verify-theorem", "--n", "40"),
+        ("verify-theorem", "--n", "3", "--tol", "1e-300"),
+        ("factor", "--n", "3"),
+        ("roots", "--n", "5"),
+        ("moments", "--n", "3"),
+        ("gram", "--n", "0", "--count", "5"),
+        ("gram", "--n", "6", "--count", "40", "--seed", "3"),
+        ("sample", "--count", "1"),
+        ("sample", "--count", "30", "--seed", "4"),
+        ("fit", "--n", "0", "--count", "1"),
+        ("fit", "--n", "4", "--count", "200", "--seed", "1"),
+        ("fit", "--n", "4", "--seed", "0", "--count", "12"),
+    ],
+)
 def test_verify_theorem_json_is_json_dumps_with_indent_two(tmp_path, argv):
-    # the gram rows are written apart from json's indenting encoder, byte for byte
-    code, text = run(tmp_path, "verify-theorem", *argv)
+    # every JSON artifact, float rows included, is json.dumps(indent=2) byte for byte
+    code, text = run(tmp_path, *argv)
     payload = json.loads(text)
-    assert code == (0 if payload["converged"] else 1)
+    assert code == (0 if payload.get("status", "pass") == "pass" and payload.get("stable", True) else 1)
     assert argv[-1] != "1e-300" or payload["unconverged_entries"]
+    assert argv[-1] != "12" or not payload["stable"]
     assert text == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        [1, 2],
+        [1, 2.5],
+        [2.5, 1],
+        [True, 0.5],
+        [[]],
+        [[], [0.5]],
+        [[0.5], [1.0, 2]],
+        [[0.5], [0.25, -1e-300]],
+        [[[0.5]]],
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22],
+        [[math.nan], [-math.inf, 0.1]],
+        [np.float64(0.1), 0.2],
+        (0.5, 0.25),
+        "tab\t, \"quote\" \\ new\nline \u00e9 \u2028",
+        ["a, b", "c\nd"],
+        {"k": [0.5, 1.5], "\u00e9": None},
+        {},
+        None,
+        True,
+        7,
+        0.1,
+    ],
+)
+def test_json_text_is_json_dumps_with_indent_two(value):
+    payload = {"n": 3, "value\n": value, "row": [0.1, 0.2], "rows": [[0.5, 1e100], [2.0, -3.5]]}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
+    assert cli._json_text({"value": value}) == json.dumps({"value": value}, indent=2) + "\n"
+
+
+def test_json_text_of_an_empty_payload():
+    assert cli._json_text({}) == "{}\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), _json_values | st.lists(st.lists(st.floats(), max_size=3), max_size=3)))
+def test_json_text_is_json_dumps_on_any_payload(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_moments_payload(tmp_path):
@@ -381,3 +453,66 @@ def test_fit_csv_predictions(tmp_path):
     code, text = run(tmp_path, "fit", "--n", "2", "--count", "60", "--format", "csv")
     assert code == 0
     assert text.startswith("x,prediction\n")
+
+
+# -- CSV artifacts against the writers the CLI once borrowed from the library --
+
+
+def _gram_csv(gram):
+    lines = [",".join(f"g{j}" for j in range(len(gram)))]
+    for row in gram:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _samples_csv(points):
+    lines = ["x"] + [repr(float(x)) for x in points]
+    return "\n".join(lines) + "\n"
+
+
+def _predictions_csv(xs, predictions):
+    lines = ["x,prediction"] + [
+        f"{float(x)!r},{float(p)!r}" for x, p in zip(xs, predictions)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, tol", [(0, "1e-10"), (4, "1e-10"), (3, "1e-300")])
+def test_verify_theorem_csv_matches_the_row_writer(tmp_path, n, tol):
+    code, text = run(tmp_path, "verify-theorem", "--n", str(n), "--tol", tol, "--format", "csv")
+    assert code == (0 if tol == "1e-10" else 1)
+    assert text == _gram_csv(quadrature_verify.orthogonality_numeric(n, tol=float(tol)).gram)
+
+
+@pytest.mark.parametrize("n, count", [(0, 1), (5, 30)])
+def test_gram_csv_matches_the_row_writer(tmp_path, n, count):
+    code, text = run(tmp_path, "gram", "--n", str(n), "--count", str(count), "--seed", "9",
+                     "--format", "csv")
+    assert code == 0
+    batch = sampling_ls.sample_arcsine(count, 9)
+    assert text == _gram_csv(sampling_ls.empirical_gram(n, batch))
+
+
+@pytest.mark.parametrize("count", [1, 57])
+def test_sample_csv_matches_the_point_writer(tmp_path, count):
+    code, text = run(tmp_path, "sample", "--count", str(count), "--seed", "8", "--format", "csv")
+    assert code == 0
+    assert text == _samples_csv(sampling_ls.sample_arcsine(count, 8).points)
+
+
+@pytest.mark.parametrize("n, count, seed", [(2, 60, 0), (4, 12, 0)])
+def test_fit_csv_matches_the_prediction_writer(tmp_path, n, count, seed):
+    code, text = run(tmp_path, "fit", "--n", str(n), "--count", str(count), "--seed", str(seed),
+                     "--format", "csv")
+    batch = sampling_ls.sample_arcsine(count, seed)
+    report = sampling_ls.fit_least_squares(n, batch, np.exp(batch.points))
+    assert code == (0 if report.stable else 1)
+    xs = np.linspace(-1.0, 1.0, 201)
+    assert text == _predictions_csv(xs, sampling_ls.predict(report, xs))
+
+
+def test_csv_text_writes_float_reprs_by_row():
+    columns = [[0.5, math.nan, -0.0], [math.inf, -math.inf, 1e-300]]
+    expected = "a,b\n0.5,inf\nnan,-inf\n-0.0,1e-300\n"
+    assert cli._csv_text(["a", "b"], columns) == expected
+    assert cli._csv_text(["a", "b"], np.array(columns)) == expected

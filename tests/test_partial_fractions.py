@@ -16,7 +16,9 @@ from ortholeg.partial_fractions import (
     moments_table,
     orthogonality_exact,
 )
+from ortholeg import christoffel, factorization, partial_fractions
 from ortholeg.factorization import FactorPair, fn_from_definition
+from ortholeg.ledger import identity_ledger
 from ortholeg.legendre import legendre_on_circle
 from ortholeg.ratpoly import LaurentPoly
 
@@ -178,3 +180,16 @@ def test_residue_rule_against_numeric_contour():
             exact = float(p.coeff(2 * n - 1)) / lead
             numeric = unit_circle_integral(lambda z: _on_grid(p, z) / _on_grid(f, z), 4096)
             assert abs(numeric - exact) < 1e-10
+
+
+def test_per_degree_caches_hold_the_degree_in_hand():
+    # the ledger runs one degree at a time, so each degree is built once and
+    # only the last one stays cached
+    caches = (christoffel.kn_exact, factorization.factor_pair,
+              partial_fractions.build_abcd, partial_fractions.moments_table)
+    for cache in caches:
+        cache.cache_clear()
+    identity_ledger(12)
+    for cache in caches:
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (12, 1), cache.__name__

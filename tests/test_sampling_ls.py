@@ -16,9 +16,7 @@ from ortholeg.sampling_ls import (
     empirical_gram,
     fit_least_squares,
     predict,
-    predictions_to_csv,
     sample_arcsine,
-    samples_to_csv,
 )
 
 SEED = 42
@@ -289,7 +287,3 @@ class TestSerialization:
         assert payload["generator_name"] == "philox4x64"
         assert payload["points"] == [float(x) for x in batch.points]
 
-    def test_csv_headers(self):
-        batch = sample_arcsine(3, 1)
-        assert samples_to_csv(batch).startswith("x\n")
-        assert predictions_to_csv([0.0], [1.0]).startswith("x,prediction\n")
