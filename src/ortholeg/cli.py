@@ -109,30 +109,30 @@ def _emit(text: str, output: str | None) -> None:
 def _json_text(payload: dict) -> str:
     """``json.dumps(payload, indent=2) + "\n"``, byte for byte, for a payload with str keys.
 
-    With ``indent`` set, json encodes every float in Python.  A top-level list
-    of floats, and each row of a top-level list of them, is encoded here in C
-    without it and re-indented, as no float repr holds ", ".
+    With ``indent`` set, json encodes floats in Python; top-level number lists and
+    matrices go through its C encoder, re-indented (no number's repr holds ", ").
     """
-    fields = ",\n  ".join(f"{json.dumps(key)}: {_json_value(value)}" for key, value in payload.items())
-    return "{\n  " + fields + "\n}\n" if payload else "{}\n"
+    pieces = [p for key, value in payload.items() for p in (",\n  ", json.dumps(key), ": ", *_json_value(value))]
+    return "".join(["{\n  ", *pieces[1:], "\n}\n"]) if payload else "{}\n"  # one copy of a large text
 
 
-def _json_value(value) -> str:
-    """``json.dumps(value, indent=2)`` with every line after the first shifted two spaces right."""
-    if _is_floats(value):
-        return _float_rows([value], "\n  ")
-    if isinstance(value, list) and value and all(map(_is_floats, value)):
-        return "[\n    " + _float_rows(value, "\n    ") + "\n  ]"
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
+def _json_value(value) -> list[str]:
+    """The pieces of ``json.dumps(value, indent=2)`` with every line after the first shifted two spaces right."""
+    if isinstance(value, list) and value:
+        matrix = isinstance(value[0], list)
+        rows = list(map(json.dumps, value)) if matrix else [json.dumps(value)]
+        if all(map(_is_flat, rows)):
+            return ["[\n    ", _flat_rows(rows, "\n    "), "\n  ]"] if matrix else [_flat_rows(rows, "\n  ")]
+    return [json.dumps(value, indent=2).replace("\n", "\n  ")]
 
 
-def _is_floats(value) -> bool:
-    return isinstance(value, list) and set(map(type, value)) == {float}  # and non-empty
+def _is_flat(row: str) -> bool:  # the json of a non-empty list of numbers, bools and nulls
+    return row.startswith("[") and row != "[]" and row.count("[") == 1 and '"' not in row and "{" not in row
 
 
-def _float_rows(rows: list, newline: str) -> str:
+def _flat_rows(rows: list[str], newline: str) -> str:
     inner = newline + "  "
-    return ("," + newline).join("[" + inner + json.dumps(row)[1:-1].replace(", ", "," + inner) + newline + "]"
+    return ("," + newline).join("[" + inner + row[1:-1].replace(", ", "," + inner) + newline + "]"
                                 for row in rows)
 
 

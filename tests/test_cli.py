@@ -59,14 +59,20 @@ def test_verify_theorem(tmp_path):
     assert len(payload["gram"]) == 11
 
 
+@pytest.mark.parametrize("argv", [("--n", "0"), ("--n", "1"), ("--n", "5"), ("--n", "40"),
+                                  ("--n", "3", "--tol", "1e-300")])
+def test_verify_theorem_json_is_json_dumps_with_indent_two(tmp_path, argv):
+    # the gram rows are written apart from json's indenting encoder, byte for byte
+    code, text = run(tmp_path, "verify-theorem", *argv)
+    payload = json.loads(text)
+    assert code == (0 if payload["converged"] else 1)
+    assert argv[-1] != "1e-300" or payload["unconverged_entries"]
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify-theorem", "--n", "0"),
-        ("verify-theorem", "--n", "1"),
-        ("verify-theorem", "--n", "5"),
-        ("verify-theorem", "--n", "40"),
-        ("verify-theorem", "--n", "3", "--tol", "1e-300"),
         ("factor", "--n", "3"),
         ("roots", "--n", "5"),
         ("moments", "--n", "3"),
@@ -79,12 +85,17 @@ def test_verify_theorem(tmp_path):
         ("fit", "--n", "4", "--seed", "0", "--count", "12"),
     ],
 )
-def test_verify_theorem_json_is_json_dumps_with_indent_two(tmp_path, argv):
-    # every JSON artifact, float rows included, is json.dumps(indent=2) byte for byte
+def test_every_json_artifact_is_json_dumps_with_indent_two(tmp_path, argv):
+    # float lists and matrices of every subcommand, byte for byte
     code, text = run(tmp_path, *argv)
     payload = json.loads(text)
-    assert code == (0 if payload.get("status", "pass") == "pass" and payload.get("stable", True) else 1)
-    assert argv[-1] != "1e-300" or payload["unconverged_entries"]
+    passed = {
+        "factor": lambda: all(c["status"] == "pass" for c in payload["certificates"]),
+        "roots": lambda: max(r["modulus"] for r in payload["roots"]) < 1.0,
+        "moments": lambda: payload["k0"] == "2" and payload["others"] == "0",
+        "fit": lambda: payload["stable"],
+    }.get(argv[0], lambda: True)()
+    assert code == (0 if passed else 1)
     assert argv[-1] != "12" or not payload["stable"]
     assert text == json.dumps(payload, indent=2) + "\n"
 
@@ -101,6 +112,11 @@ def test_verify_theorem_json_is_json_dumps_with_indent_two(tmp_path, argv):
         [[], [0.5]],
         [[0.5], [1.0, 2]],
         [[0.5], [0.25, -1e-300]],
+        [[0.5], 0.5],
+        [0.5, [1.0]],
+        [[0.5], {"k": 1.0}],
+        [None, False, 3],
+        [[1, None], [True]],
         [[[0.5]]],
         [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22],
         [[math.nan], [-math.inf, 0.1]],
