@@ -6,8 +6,8 @@ forms, which ``check_kn_forms`` certifies equal in exact arithmetic:
 - Christoffel-Darboux: K_n = (P_{n+1}' P_n - P_{n+1} P_n') / 2
 - closed form:         K_n = ((n+1)^2 P_n^2 - (x^2 - 1) P_n'^2) / (2(n+1))
 
-Floating point evaluates the sum form only (``kn_eval``), which is positive
-on [-1, 1].
+Floating point evaluates the sum form only (``_pstar_kn``), which is
+positive on [-1, 1].
 
 The weighted basis is Q_j = P_j* / sqrt(K_n); its squares sum to exactly
 n + 1 at every point of [-1, 1], which is the optimal stability factor for
@@ -52,11 +52,6 @@ def _pstar_pair_kn(n: int, i: int, j: int, x) -> tuple[np.ndarray, np.ndarray, n
         else:
             total += row * row
     return pi, pj, total / (n + 1)
-
-
-def kn_eval(n: int, x):
-    """K_n(x) in sum form, elementwise on arrays (positive on [-1, 1])."""
-    return _pstar_kn(n, x)[1]
 
 
 @lru_cache(maxsize=1)

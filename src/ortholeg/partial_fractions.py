@@ -16,18 +16,32 @@ orthogonality of the full basis is certified in exact rational arithmetic:
 the moment is 2 for P_0 and 0 for every 1 <= m <= 2n, hence the inner
 product of P_i* and P_j* under the arcsine/Christoffel weight is exactly the
 Kronecker delta.
+
+The split is certified by recurrence transfer, the principle behind
+Petkovšek, Wilf & Zeilberger, *A = B* (1996): two sequences that satisfy one
+linear recurrence and agree at two starting values agree everywhere.  When
+P_m(J), U_m and V_m each satisfy (m+1) X_{m+1} = (2m+1) J X_m - m X_{m-1} for
+m = 1..2n-1, so does the residual R_m = 2(n+1) z^{2n-1} P_m(J) - U_m G_n -
+V_m F_n, since multiplying by a fixed G_n, F_n or z^{2n-1} commutes with the
+recurrence.  Then R_n = R_{n-1} = 0, computed directly, gives R_m = 0 for
+every m = 0..2n, by induction up and down.  The recurrences are checked on
+the very objects the certificates name, by an integer pass that shares no
+code with ``build_abcd``.  If any of these checks fails, every residual of
+that degree is computed directly, so a failing certificate reports the same
+residual either way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .certificates import certifies
 from .factorization import FactorPair, factor_pair
 from .legendre import legendre_on_circle, legendre_product_expand
-from .ratpoly import JOUKOWSKI, LaurentPoly
+from .ratpoly import JOUKOWSKI, LaurentPoly, satisfies_legendre_recurrence
 
 
 @lru_cache(maxsize=1)
@@ -56,14 +70,51 @@ def build_abcd(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]
     return tuple(u[m] for m in range(2 * n + 1)), tuple(v[m] for m in range(2 * n + 1))
 
 
-def _split_residual(n: int, m: int, k: int) -> LaurentPoly:
+class _LastResult:
+    """One computed result, reused only for the very objects it was computed from.
+
+    The checks of one degree share a verdict or a table.  Keying it on the
+    identity of the objects, not on the degree, means that a rebuilt or
+    substituted construction is always judged afresh.
+    """
+
+    def __init__(self):
+        self._last = ((), None)
+
+    def get(self, objects: tuple, compute):
+        seen, value = self._last
+        if len(seen) != len(objects) or not all(map(operator.is_, seen, objects)):
+            value = compute()
+            self._last = (objects, value)
+        return value
+
+
+_chain = _LastResult()
+
+
+def _direct_residual(n: int, p: LaurentPoly, u: LaurentPoly, v: LaurentPoly,
+                     pair: FactorPair) -> LaurentPoly:
     # 2(n+1) z^{2n-1} P_m(J(z)) = U_m G_n + V_m F_n
+    return (2 * (n + 1)) * p.shift(2 * n - 1) - (u * pair.g + v * pair.f)
+
+
+def _split_residual(n: int, m: int, k: int) -> LaurentPoly:
     if not 0 <= k <= n:
         raise ValueError("k must satisfy 0 <= k <= n")
     u, v = build_abcd(n)
     pair = factor_pair(n)
-    target = (2 * (n + 1)) * legendre_on_circle(m).shift(2 * n - 1)
-    return target - (u[m] * pair.g + v[m] * pair.f)
+    p = tuple(legendre_on_circle(j) for j in range(2 * n + 1))
+
+    def transfer() -> bool:
+        # R_m = 2(n+1) z^{2n-1} P_m(J) - U_m G_n - V_m F_n satisfies the recurrence
+        # when P_m(J), U_m and V_m do, so R_n = R_{n-1} = 0 carries to every m = 0..2n
+        return (all(map(satisfies_legendre_recurrence, (p, u, v)))
+                and not any(_direct_residual(n, p[j], u[j], v[j], pair) for j in (n, n - 1)))
+
+    # the object count 3(2n+1) + 2 fixes n
+    if _chain.get((pair.f, pair.g, *p, *u, *v), transfer):
+        return LaurentPoly.zero()
+    return _direct_residual(n, p[m], u[m], v[m], pair)
 
 
 @certifies("pfd-plus")
@@ -165,6 +216,9 @@ def check_moments(n: int) -> list[str]:
     return [f"unexpected moments at k={bad}"] if bad else []
 
 
+_nonzero = _LastResult()
+
+
 def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
     """Exact arcsine/Christoffel inner product of P_i* and P_j*, which is delta_ij.
 
@@ -177,10 +231,10 @@ def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i, j <= n")
     moments = moments_table(n)
-    s = sum((a * moments[k] for k, a in enumerate(legendre_product_expand(i, j))
-             if a and moments[k]),
-            start=Fraction(0))
-    if s == 0:
+    nonzero = _nonzero.get((moments,), lambda: [(k, m) for k, m in enumerate(moments) if m])
+    expansion = legendre_product_expand(i, j)
+    s = sum(expansion[k] * m for k, m in nonzero if k < len(expansion) and expansion[k])
+    if not s:
         return Fraction(0)
     square = (2 * i + 1) * (2 * j + 1)
     root = math.isqrt(square)

@@ -5,17 +5,23 @@ Laurent polynomial in exact rational arithmetic and assert it is identically
 zero".  A ``LaurentPoly`` stores integer numerators over one common
 denominator, so every ring operation is integer arithmetic, and a product of
 two polynomials is one big-integer multiply by Kronecker substitution
-(Schönhage, EUROCAM 1982; Harvey, J. Symbolic Comput. 2009).  Coefficients
-are read back as ``fractions.Fraction``.  There is no floating-point
-evaluation.  Values are immutable after construction and all operations are
-pure, so they are safe to share across threads.
+(Schönhage, EUROCAM 1982; Harvey, J. Symbolic Comput. 2009).  Short
+operands take a shorter path: when one operand has at most two terms (J(z),
+z, x^2 - 1, a monomial), packing both would cost more than the product, so
+the other operand's numerators are multiplied term by term instead.  The
+operand's length picks the path; no caller chooses it.
+``satisfies_legendre_recurrence`` checks the three-term recurrence of a
+sequence with J(z) in one integer pass per member, with no product at all.
+Coefficients are read back as ``fractions.Fraction``.  There is no
+floating-point evaluation.  Values are immutable after construction and all
+operations are pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 
 class LaurentPoly:
@@ -29,13 +35,15 @@ class LaurentPoly:
     kept reduced (the denominator and all numerators have gcd 1), so ``==``
     and ``hash`` compare storage.  The zero polynomial is the empty map over 1.
 
-    ``a * b`` packs each operand into one integer, one slot per exponent step
-    g, where g is the gcd of every exponent gap of both operands.  A slot
-    holds ``w`` bits, where ``w`` is the bit length of
-    ``min(len a, len b) * max|a| * max|b|`` plus 2, rounded up to whole
-    bytes.  No coefficient of the product reaches ``2**(w - 2)``, so the one
-    integer product holds each coefficient in its own slot, and adding half a
-    slot to every slot makes each one read back as an unsigned integer.
+    When one operand has at most two terms, ``a * b`` adds one scaled shift of
+    the other operand per term.  Otherwise it packs each operand into one
+    integer, one slot per exponent step g, where g is the gcd of every
+    exponent gap of both operands.  A slot holds ``w`` bits, where ``w`` is
+    the bit length of ``min(len a, len b) * max|a| * max|b|`` plus 2, rounded
+    up to whole bytes.  No coefficient of the product reaches ``2**(w - 2)``,
+    so the one integer product holds each coefficient in its own slot, and
+    adding half a slot to every slot makes each one read back as an unsigned
+    integer.
     """
 
     __slots__ = ("_num", "_den")
@@ -137,10 +145,12 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            return LaurentPoly._reduced(_kronecker(self._num, other._num),
-                                        self._den * other._den)
+            a, b = self._num, other._num
+            if len(a) < len(b):
+                a, b = b, a
+            num = _term_by_term(a, b) if len(b) <= _SHORT else _kronecker(a, b)
+            return LaurentPoly._reduced(num, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             top = other.numerator
             num = {e: c * top for e, c in self._num.items()} if top else {}
             return LaurentPoly._reduced(num, self._den * other.denominator)
@@ -187,6 +197,24 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
+#: Operands of at most this many terms are multiplied term by term.
+_SHORT = 2
+
+
+def _term_by_term(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The numerators of the product of two numerator maps, one row of ``a`` per term of ``b``."""
+    if not b:
+        return {}
+    (e, c), *rest = b.items()
+    acc = {x + e: y * c for x, y in a.items()}
+    if not rest:
+        return acc
+    for e, c in rest:
+        for x, y in a.items():
+            acc[x + e] = acc.get(x + e, 0) + y * c
+    return {x: acc[x] for x in sorted(acc) if acc[x]}
+
+
 def _half_slots(count: int, width: int) -> int:
     """Half a slot, 2**(8 width - 1), in each of ``count`` slots of ``width`` bytes."""
     return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * count, "little")
@@ -222,6 +250,30 @@ def _kronecker(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 #: The conformal map (z + 1/z)/2 carrying the unit circle onto [-1, 1].
 JOUKOWSKI = LaurentPoly({1: Fraction(1, 2), -1: Fraction(1, 2)})
+
+
+def satisfies_legendre_recurrence(members: Sequence[LaurentPoly]) -> bool:
+    """Whether (m+1) X_{m+1} = (2m+1) J X_m - m X_{m-1} for m = 1 .. len(members) - 2.
+
+    J is ``JOUKOWSKI``.  Each m is one pass over integer numerators: J X_m is
+    the shift-add (X_m z + X_m / z)/2, and the three denominators are cleared
+    by their lcm, so no product of polynomials is formed.
+    """
+    for m in range(1, len(members) - 1):
+        low, mid, high = members[m - 1], members[m], members[m + 1]
+        den = math.lcm(low._den, mid._den, high._den)
+        up, across, down = (2 * (m + 1) * (den // high._den), (2 * m + 1) * (den // mid._den),
+                            2 * m * (den // low._den))
+        acc = {e: up * c for e, c in high._num.items()}
+        for e, c in low._num.items():
+            acc[e] = acc.get(e, 0) + down * c
+        for e, c in mid._num.items():
+            c *= across
+            acc[e + 1] = acc.get(e + 1, 0) - c
+            acc[e - 1] = acc.get(e - 1, 0) - c
+        if any(acc.values()):
+            return False
+    return True
 
 
 def substitute(outer: LaurentPoly, inner: LaurentPoly) -> LaurentPoly:

@@ -11,7 +11,6 @@ from ortholeg.christoffel import (
     _pstar_kn,
     _pstar_pair_kn,
     check_kn_forms,
-    kn_eval,
     kn_exact,
     q_basis_all,
 )
@@ -22,13 +21,13 @@ RNG = np.random.default_rng(1357)
 
 def test_value_at_zero_degree_one():
     # K_1(x) = (1 + 3x^2)/4
-    assert kn_eval(1, 0.0) == pytest.approx(0.25, abs=1e-15)
+    assert _pstar_kn(1, 0.0)[1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_sum_form_hand_expansion_degree_one():
     # (1/2 + 3x^2/2)/2 = (3x^2+1)/4
     xs = RNG.uniform(-1, 1, 50)
-    assert np.allclose(kn_eval(1, xs), (3 * xs**2 + 1) / 4, atol=1e-15)
+    assert np.allclose(_pstar_kn(1, xs)[1], (3 * xs**2 + 1) / 4, atol=1e-15)
 
 
 def test_pair_matches_block_bit_for_bit():
@@ -45,9 +44,9 @@ def test_pair_matches_block_bit_for_bit():
 def test_value_at_one():
     # P_k(1) = 1 forces K_n(1) = (n+1)/2
     for n in (1, 2, 7, 30):
-        assert kn_eval(n, 1.0) == pytest.approx((n + 1) / 2, rel=1e-12)
-    assert kn_eval(1, 1.0) == pytest.approx(1.0)
-    assert kn_eval(2, 1.0) == pytest.approx(1.5)
+        assert _pstar_kn(n, 1.0)[1] == pytest.approx((n + 1) / 2, rel=1e-12)
+    assert _pstar_kn(1, 1.0)[1] == pytest.approx(1.0)
+    assert _pstar_kn(2, 1.0)[1] == pytest.approx(1.5)
 
 
 def test_exact_low_degrees():
@@ -63,13 +62,13 @@ def test_exact_forms_agree_to_forty():
 def test_positive_on_interval():
     xs = RNG.uniform(-1, 1, 1000)
     for n in range(51):
-        values = kn_eval(n, xs)
+        values = _pstar_kn(n, xs)[1]
         assert np.all(values > 0)
 
 
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
-        kn_eval(-1, 0.5)
+        _pstar_kn(-1, 0.5)
 
 
 class TestQBasis:

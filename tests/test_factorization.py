@@ -233,11 +233,11 @@ class TestRoots:
 
     def test_kernel_positive_on_circle(self):
         # K_n(J(z)) cannot vanish for |z| = 1: grid minimum stays well positive
-        from ortholeg.christoffel import kn_eval
+        from ortholeg.christoffel import _pstar_kn
 
         thetas = np.linspace(0, 2 * np.pi, 720, endpoint=False)
         for n in (1, 5, 12, 20):
-            values = kn_eval(n, np.cos(thetas))
+            values = _pstar_kn(n, np.cos(thetas))[1]
             assert values.min() >= 0.25  # grid minimum is K_n(0), which is >= 1/4
 
     def test_roots_json_shape(self):

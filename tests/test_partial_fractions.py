@@ -1,5 +1,6 @@
 """Splitting family, partial-fraction identities, exact moments and orthogonality."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,11 +17,13 @@ from ortholeg.partial_fractions import (
     moments_table,
     orthogonality_exact,
 )
-from ortholeg import christoffel, factorization, partial_fractions
+from ortholeg import christoffel, factorization, partial_fractions, ratpoly
+from ortholeg.certificates import certifies
 from ortholeg.factorization import FactorPair, fn_from_definition
 from ortholeg.ledger import identity_ledger
-from ortholeg.legendre import legendre_on_circle
-from ortholeg.ratpoly import LaurentPoly
+from ortholeg.legendre import legendre_on_circle, legendre_product_expand
+from ortholeg.ratpoly import LaurentPoly, satisfies_legendre_recurrence
+from test_failure_paths import clean_caches, tampered_fn  # noqa: F401  (fixtures)
 
 
 lp = LaurentPoly
@@ -193,3 +196,206 @@ def test_per_degree_caches_hold_the_degree_in_hand():
     for cache in caches:
         info = cache.cache_info()
         assert (info.misses, info.currsize) == (12, 1), cache.__name__
+
+
+# -- recurrence transfer ---------------------------------------------------------
+
+
+def _perturbed(members, m):
+    members = list(members)
+    members[m] = members[m] + LaurentPoly.monomial(m % 3 - 1, F(1, 7))
+    return members
+
+
+def test_the_recurrence_holds_on_the_legendre_sequence_and_every_family():
+    circle = [legendre_on_circle(m) for m in range(25)]
+    assert satisfies_legendre_recurrence(circle)
+    for m in range(25):
+        assert not satisfies_legendre_recurrence(_perturbed(circle, m)), m
+    for n in range(1, 13):
+        for family in build_abcd(n):
+            assert satisfies_legendre_recurrence(family)
+            # every m, among them 0, n - 1, n and 2n
+            for m in range(2 * n + 1):
+                assert not satisfies_legendre_recurrence(_perturbed(family, m)), (n, m)
+
+
+def test_the_recurrence_is_vacuous_below_three_members():
+    one = [LaurentPoly.monomial(5)]
+    assert satisfies_legendre_recurrence([]) and satisfies_legendre_recurrence(one)
+    assert satisfies_legendre_recurrence(one * 2)
+
+
+def _direct_split_residual(n, m, k):
+    # the residual of every pfd certificate, each computed on its own
+    if not 0 <= k <= n:
+        raise ValueError("k must satisfy 0 <= k <= n")
+    u, v = partial_fractions.build_abcd(n)
+    pair = partial_fractions.factor_pair(n)
+    target = (2 * (n + 1)) * partial_fractions.legendre_on_circle(m).shift(2 * n - 1)
+    return target - (u[m] * pair.g + v[m] * pair.f)
+
+
+direct_plus = certifies("pfd-plus")(lambda n, k: _direct_split_residual(n, n + k, k))
+direct_minus = certifies("pfd-minus")(lambda n, k: _direct_split_residual(n, n - k, k))
+
+
+def _failing_pfd_certificates(degrees):
+    # asserts that every pfd certificate of these degrees is its direct copy
+    failed = 0
+    for n in degrees:
+        for k in range(n + 1):
+            for check, direct in ((check_pfd_plus, direct_plus), (check_pfd_minus, direct_minus)):
+                cert = check(n, k)
+                assert cert == direct(n, k), (check.__name__, n, k)
+                failed += not cert.passed
+    return failed
+
+
+def test_pfd_certificates_are_the_direct_ones_on_clean_degrees():
+    assert _failing_pfd_certificates(range(1, 13)) == 0
+
+
+@pytest.mark.parametrize("side, where", [
+    (0, lambda n: n + (n + 1) // 2),  # a middle U_m
+    (0, lambda n: 0),
+    (1, lambda n: n // 2),  # a V_m
+    (1, lambda n: 2 * n),
+])
+def test_pfd_certificates_are_the_direct_ones_with_a_tampered_member(side, where, monkeypatch):
+    original = partial_fractions.build_abcd
+
+    def tampered(n):
+        families = list(original(n))
+        families[side] = tuple(_perturbed(families[side], where(n)))
+        return tuple(families)
+
+    monkeypatch.setattr(partial_fractions, "build_abcd", tampered)
+    assert _failing_pfd_certificates(range(1, 13)) > 0
+
+
+def test_pfd_certificates_are_the_direct_ones_with_a_tampered_factor(tampered_fn):
+    assert _failing_pfd_certificates(range(1, 7)) > 0
+
+
+def test_pfd_certificates_are_the_direct_ones_with_opposite_tampers_of_the_factors(monkeypatch):
+    # U_n = V_n, so R_n cannot see F_n + d and G_n - d together; R_{n-1} does
+    d = LaurentPoly.monomial(2)
+    original = partial_fractions.factor_pair
+    monkeypatch.setattr(partial_fractions, "factor_pair",
+                        lambda n: FactorPair(n, original(n).f + d, original(n).g - d))
+    assert _failing_pfd_certificates(range(1, 13)) > 0
+
+
+def test_pfd_certificates_are_the_direct_ones_with_a_family_that_keeps_the_recurrence(
+        monkeypatch):
+    # 2 U_m - V_m satisfies the recurrence and equals U_n at m = n, but not at m = n - 1
+    original = partial_fractions.build_abcd
+
+    def tampered(n):
+        u, v = original(n)
+        return tuple(2 * a - b for a, b in zip(u, v)), v
+
+    monkeypatch.setattr(partial_fractions, "build_abcd", tampered)
+    assert all(map(satisfies_legendre_recurrence, tampered(5)))
+    assert _failing_pfd_certificates(range(1, 13)) > 0
+
+
+@pytest.mark.parametrize("tampered_m", [0, 3, 9])
+def test_pfd_certificates_are_the_direct_ones_with_a_tampered_legendre_polynomial(
+        tampered_m, monkeypatch):
+    original = partial_fractions.legendre_on_circle
+    monkeypatch.setattr(
+        partial_fractions, "legendre_on_circle",
+        lambda m: original(m) + LaurentPoly.monomial(1) if m == tampered_m else original(m))
+    assert _failing_pfd_certificates(range(1, 13)) > 0
+
+
+def test_a_verdict_is_not_reused_for_rebuilt_members(monkeypatch):
+    # the clean ledger leaves degree 3's members cached and its chain verdict made;
+    # the tamper hands back the same objects but one
+    assert all(c.passed for c in identity_ledger(3))
+    original = partial_fractions.build_abcd
+
+    def tampered(n):
+        u, v = original(n)
+        return (tuple(_perturbed(u, 4)) if n == 3 else u), v
+
+    monkeypatch.setattr(partial_fractions, "build_abcd", tampered)
+    cert = check_pfd_plus(3, 1)
+    assert cert.status == "fail" and cert.residual_terms > 0
+    assert check_pfd_plus(2, 1).passed
+
+
+def test_pfd_checks_of_a_warm_degree_pack_at_most_four_products(monkeypatch):
+    # with the members, the factors and P_0(J)..P_2n(J) built, a degree's 2(n+1)
+    # pfd certificates need the two base residuals only: four products at most,
+    # where a residual for each would take 4(n+1)
+    n = 12
+    build_abcd(n)
+    partial_fractions.factor_pair(n)
+    for m in range(2 * n + 1):
+        legendre_on_circle(m)
+    packed = []
+    original = ratpoly._kronecker
+    monkeypatch.setattr(ratpoly, "_kronecker", lambda a, b: packed.append(1) or original(a, b))
+    for k in range(n + 1):
+        assert check_pfd_plus(n, k).passed and check_pfd_minus(n, k).passed
+    assert len(packed) <= 4
+
+
+# -- orthogonality over the nonzero moments ----------------------------------------
+
+
+def _full_sum_orthogonality(n, i, j):
+    # every Adams coefficient against every moment, the inner product as first written
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError("indices must satisfy 0 <= i, j <= n")
+    moments = partial_fractions.moments_table(n)
+    s = sum((a * moments[k] for k, a in enumerate(legendre_product_expand(i, j))
+             if a and moments[k]),
+            start=F(0))
+    if s == 0:
+        return F(0)
+    square = (2 * i + 1) * (2 * j + 1)
+    root = math.isqrt(square)
+    if root * root != square:
+        raise ArithmeticError("irrational inner product; expansion radical did not cancel")
+    return s * F(root, 2)
+
+
+@certifies("weighted-orthogonality")
+def _full_sum_check(n):
+    bad = []
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            if _full_sum_orthogonality(n, i, j) != (1 if i == j else 0):
+                bad.append((i, j))
+    return [f"unexpected inner products at {bad}"] if bad else []
+
+
+def _outcome(inner_product, n, i, j):
+    try:
+        return inner_product(n, i, j)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 30])
+@pytest.mark.parametrize("changes", [
+    {1: F(1)},
+    {2: F(1, 3), 5: F(-2)},
+    {0: F(3), 4: F(1, 9)},
+    {2: F(-1, 2), 4: F(7), 6: F(1, 5), 60: F(2)},
+    "all",
+])
+def test_orthogonality_over_the_nonzero_moments_is_the_full_sum(n, changes, monkeypatch):
+    clean = partial_fractions.moments_table(n)
+    if changes == "all":
+        changes = dict.fromkeys(range(1, 2 * n + 1), F(1))
+    table = tuple(m + changes.get(k, 0) for k, m in enumerate(clean))
+    monkeypatch.setattr(partial_fractions, "moments_table", lambda n: table)
+    pairs = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+    outcomes = [_outcome(orthogonality_exact, n, i, j) for i, j in pairs]
+    assert outcomes == [_outcome(_full_sum_orthogonality, n, i, j) for i, j in pairs]
+    assert check_orthogonality(n) == _full_sum_check(n)

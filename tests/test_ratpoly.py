@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ortholeg.ratpoly import JOUKOWSKI, LaurentPoly, substitute
+from ortholeg.ratpoly import JOUKOWSKI, LaurentPoly, _kronecker, substitute
 
 
 lp = LaurentPoly
@@ -266,3 +266,65 @@ def test_unreduced_routes_reach_equal_values(a):
                  (a * lp({0: F(4, 3)})) * lp({0: F(3, 4)})):
         assert same == a
         assert hash(same) == hash(a)
+
+
+# -- term-by-term multiplication of short operands --------------------------------
+
+
+def schoolbook(a, b):
+    """Reference product: every pair of Fraction terms, summed by exponent."""
+    out = {}
+    for e, x in a.terms():
+        for f, y in b.terms():
+            out[e + f] = out.get(e + f, F(0)) + x * y
+    return {e: c for e, c in sorted(out.items()) if c}
+
+
+def kronecker_product(a, b):
+    """The product by the packed path, whatever the operands' lengths."""
+    return LaurentPoly._reduced(_kronecker(a._num, b._num), a._den * b._den)
+
+
+# small coefficients of both signs, which cancel often, and numerators over 2^200
+short_coeff = st.one_of(
+    st.sampled_from((F(1), F(-1), F(1, 2), F(-3, 4))),
+    st.builds(lambda top, den: F(top, den),
+              st.builds(_wide, st.integers(201, 260), st.sampled_from((1, -1)),
+                        st.integers(0, 2**260)),
+              st.one_of(st.just(1), st.integers(1, 2**64))),
+)
+
+
+def terms_of(size):
+    return st.dictionaries(st.integers(min_value=-12, max_value=12), short_coeff,
+                           min_size=size, max_size=size).map(lp)
+
+
+short_operand = st.integers(0, 3).flatmap(terms_of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_operand, st.one_of(short_operand, strided))
+def test_short_operand_products_match_the_schoolbook_and_the_packed_path(a, b):
+    for x, y in ((a, b), (b, a)):
+        product = x * y
+        assert dict(product.terms()) == schoolbook(x, y)
+        packed = kronecker_product(x, y)
+        assert product == packed
+        assert hash(product) == hash(packed)
+
+
+def test_short_operand_products_cancel_and_reach_negative_exponents():
+    wide = _wide(240, 1, 777)
+    cases = [
+        (lp({1: 1, -1: -1}), lp({1: 1, -1: 1}), lp({2: 1, -2: -1})),  # the z^0 terms cancel
+        (lp({0: 1, 1: -1}), lp({0: 1, 1: 1, 2: 1}), lp({0: 1, 3: -1})),  # two cancel
+        (lp({-3: F(wide, 5), -1: F(wide, 5)}), lp({2: F(5, wide), 0: F(-5, wide)}),
+         lp({1: 1, -3: -1})),  # the z^-1 terms cancel
+        (lp({4: wide}), LaurentPoly.zero(), LaurentPoly.zero()),
+        (lp({-2: F(1, wide)}), lp({-5: wide, 5: -wide}), lp({-7: 1, 3: -1})),
+    ]
+    for a, b, expected in cases:
+        for x, y in ((a, b), (b, a)):
+            assert x * y == expected == kronecker_product(x, y)
+            assert hash(x * y) == hash(expected)
