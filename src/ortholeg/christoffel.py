@@ -27,18 +27,27 @@ from .ratpoly import LaurentPoly
 
 
 def _pstar_kn(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """P_0*(x), ..., P_n*(x) stacked along axis 0, and K_n(x) in sum form."""
+    """P_0*(x), ..., P_n*(x) stacked along axis 0, and K_n(x) in sum form.
+
+    The squares are added row by row in degree order into one vector beside
+    the block.
+    """
     pstar = legendre_all(n, x)
     pstar *= np.sqrt(np.arange(1, 2 * n + 2, 2) / 2).reshape((n + 1,) + (1,) * np.ndim(x))
-    return pstar, np.sum(pstar * pstar, axis=0) / (n + 1)
+    total = pstar[0, ...] * pstar[0, ...]
+    square = np.empty_like(total)
+    for row in pstar[1:]:
+        total += np.multiply(row, row, out=square)
+    total /= n + 1
+    return pstar, total
 
 
 def _pstar_pair_kn(n: int, i: int, j: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P_i*(x), P_j*(x) and K_n(x) in sum form, holding two rows of the recurrence.
 
-    The squares are added in order of degree, as ``_pstar_kn``'s sum over
-    axis 0 adds them, so the three values are bit for bit those of
-    ``_pstar_kn``; no (n+1)-row block is allocated.
+    The squares are added in order of degree, as ``_pstar_kn`` adds them,
+    so the three values are bit for bit those of ``_pstar_kn``; no
+    (n+1)-row block is allocated.
     """
     scale = np.sqrt(np.arange(1, 2 * n + 2, 2) / 2)
     for k, p in enumerate(_legendre_rows(n, x)):
@@ -100,5 +109,6 @@ def q_basis_all(n: int, x) -> np.ndarray:
     if not np.all(np.abs(xs) <= 1):  # also rejects NaN
         raise ValueError("Q basis is defined on [-1, 1]")
     pstar, kn = _pstar_kn(n, xs)
-    return pstar / np.sqrt(kn)
+    pstar /= np.sqrt(kn)
+    return pstar
 

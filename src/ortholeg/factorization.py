@@ -10,7 +10,10 @@ Four independent constructions of F_n are certified to agree exactly (the
 derivative definition, the closed binomial coefficients, the terminating
 hypergeometric series, and the second-order ODE it satisfies), and its 2n
 roots are computed and certified to be simple and strictly inside the unit
-disk, which is what makes the contour-moment bookkeeping work.
+disk, which is what makes the contour-moment bookkeeping work.  The Aberth
+sweeps that find the roots evaluate F_n and its derivative by baby-step
+giant-step (Paterson-Stockmeyer); the residual that certifies each root is
+taken by Horner's rule, apart from the sweeps.
 """
 
 from __future__ import annotations
@@ -258,22 +261,64 @@ class RootReport:
         return {"n": self.n, "roots": [r.to_json() for r in self.roots]}
 
 
+def _paterson_stockmeyer(coeffs: np.ndarray):
+    """The evaluator ``w -> (p(w), p'(w))`` of a real polynomial, by baby-step giant-step.
+
+    ``coeffs`` are the coefficients of p, highest power first.  Paterson and
+    Stockmeyer (SIAM J. Comput., 1973): the coefficients of p and p' are cut
+    once into blocks of b = ceil(sqrt(n + 1)).  At each call the powers
+    w^0, ..., w^{b-1} come by repeated multiplication, every block of both
+    polynomials at every point from one matrix product, and then Horner's
+    rule runs in w^b over the blocks, carrying p and p' together: about
+    3 sqrt(n) numpy calls, where ``np.polyval`` makes n + 1 for each of p
+    and p'.
+    """
+    low = np.asarray(coeffs, dtype=float)[::-1]
+    degree = len(low) - 1
+    b = math.isqrt(degree) + 1  # ceil(sqrt(degree + 1))
+    blocks = -(-(degree + 1) // b)
+    table = np.zeros((2, blocks * b))
+    table[0, : degree + 1] = low
+    table[1, :degree] = low[1:] * np.arange(1, degree + 1)
+    # row 2j + 0 holds block j of p, row 2j + 1 block j of p'
+    table = table.reshape(2, blocks, b).transpose(1, 0, 2).reshape(2 * blocks, b)
+
+    def evaluate(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        powers = np.empty((b, len(w)), dtype=complex)
+        powers[0] = 1.0
+        np.cumprod(np.broadcast_to(w, (b - 1, len(w))), axis=0, out=powers[1:])
+        giant = powers[-1] * w
+        # the table is real, so one real product takes the real and imaginary parts
+        parts = (table @ powers.view(float)).view(complex).reshape(blocks, 2, len(w))
+        both = parts[-1]
+        for part in parts[-2::-1]:
+            both *= giant
+            both += part
+        return both[0], both[1]
+
+    return evaluate
+
+
 def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Simultaneous Aberth refinement of all roots of a monic polynomial.
 
     ``coeffs`` are monic coefficients, highest power first, and ``roots`` the
-    distinct starting points.  Each sweep moves every root by its Aberth
-    correction; the sweeps stop when the residuals are near machine precision
-    or the largest correction is at most 4e-16, a few ulps of a root inside
-    the unit disk, and after at most 60 sweeps.
+    distinct starting points.  Each sweep evaluates the polynomial and its
+    derivative at every root by ``_paterson_stockmeyer`` and moves every
+    root by its Aberth correction; the sweeps stop when the values are near
+    machine precision or the largest correction is at most 4e-16, a few ulps
+    of a root inside the unit disk, and after at most 60 sweeps.  The
+    residual that certifies the roots is not taken here: ``fn_roots`` takes
+    it by Horner's rule, so a fault in the sweeps' evaluator cannot certify
+    its own roots.
     """
-    deriv = np.polyder(coeffs)
+    evaluate = _paterson_stockmeyer(coeffs)
     scale = np.sum(np.abs(coeffs))
     for _ in range(60):
-        values = np.polyval(coeffs, roots)
+        values, slopes = evaluate(roots)
         if np.max(np.abs(values)) <= 1e-15 * scale:
             break
-        newton = values / np.polyval(deriv, roots)
+        newton = values / slopes
         diffs = roots[:, None] - roots[None, :]
         np.fill_diagonal(diffs, 1.0)
         repulsion = np.sum(1.0 / diffs, axis=1) - 1.0
@@ -293,11 +338,11 @@ def fn_roots(n: int) -> RootReport:
     the geometric mean of the w-root moduli by Vieta; like the roots of a
     real polynomial, this start is closed under conjugation.  The z-roots
     are then the +- square roots, preserving the pair structure exactly.
-    Each root carries its residual |F_n(z)| against ``1e-10 * (n+1)`` (F_n
-    has positive coefficients, so n + 1 = F_n(1) bounds it on the closed
-    disk), and converges only when that residual is met and its squared
-    modulus is within ``fn_root_radius_bound(n)``, up to the same relative
-    1e-10.
+    Each root carries its residual |F_n(z)|, taken by ``np.polyval`` and not
+    by the sweeps' evaluator, against ``1e-10 * (n+1)`` (F_n has positive
+    coefficients, so n + 1 = F_n(1) bounds it on the closed disk), and
+    converges only when that residual is met and its squared modulus is
+    within ``fn_root_radius_bound(n)``, up to the same relative 1e-10.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -310,18 +355,16 @@ def fn_roots(n: int) -> RootReport:
     zs = np.column_stack((s, -s)).ravel()
     zs = zs[np.lexsort((zs.imag, np.round(zs.real, 12)))]  # ties conjugates: -im first
     residuals = np.abs(np.polyval(even, zs * zs))
-    scale = float(n + 1)
-    radius2 = float(fn_root_radius_bound(n)) * (1 + 1e-10)
-    records = [
-        RootRecord(re=z.real, im=z.imag, modulus=abs(z), residual=float(res),
-                   converged=bool(res <= 1e-10 * scale and abs(z) ** 2 <= radius2))
-        for z, res in zip(zs, residuals)
-    ]
+    modulus = np.hypot(zs.real, zs.imag)  # Python's abs(complex), to the bit
+    converged = (residuals <= 1e-10 * (n + 1)) & (
+        modulus**2 <= float(fn_root_radius_bound(n)) * (1 + 1e-10))
+    records = map(RootRecord, zs.real.tolist(), zs.imag.tolist(), modulus.tolist(),
+                  residuals.tolist(), converged.tolist())
     diffs = np.abs(zs[:, None] - zs[None, :])
     np.fill_diagonal(diffs, np.inf)
     return RootReport(
         n=n,
         roots=tuple(records),
-        max_modulus=max(r.modulus for r in records),
+        max_modulus=float(modulus.max()),
         min_separation=float(diffs.min()),
     )

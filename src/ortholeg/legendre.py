@@ -25,23 +25,37 @@ _X = LaurentPoly.monomial(1)
 _HALF = Fraction(1, 2)
 
 
-def _legendre_rows(n: int, x):
+def _legendre_rows(n: int, x, block=None):
     """Yield P_0(x), ..., P_n(x) by the forward three-term recurrence.
 
     (m + 1) P_{m+1} = (2m + 1) x P_m - m P_{m-1}, elementwise on arrays and
-    complex input.  Forward recurrence is stable on [-1, 1] for the degrees
-    used here.
+    complex input, each step as ((2m + 1) x) P_m - m P_{m-1}, then / (m + 1),
+    with x first widened to ``np.result_type(x, float)``.  Forward
+    recurrence is stable on [-1, 1] for the degrees used here.  Each row is
+    a new array, or, given the (n+1)-row ``block``, is written in place into
+    ``block[k, ...]``.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    p_prev = x * 0 + 1.0
+    x = np.asarray(x, dtype=np.result_type(x, float))
+
+    def out(k):
+        return None if block is None else block[k, ...]
+
+    p_prev = np.multiply(x, 0, out=out(0))
+    p_prev += 1.0
     yield p_prev
     if n == 0:
         return
-    p = x * p_prev
+    p = np.multiply(x, p_prev, out=out(1))
     yield p
+    scratch = np.empty_like(p)
     for m in range(1, n):
-        p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
+        row = np.multiply(2 * m + 1, x, out=out(m + 1))
+        row *= p
+        row -= np.multiply(m, p_prev, out=scratch)
+        row /= m + 1
+        p_prev, p = p, row
         yield p
 
 
@@ -53,12 +67,16 @@ def legendre_eval(n: int, x):
 
 
 def legendre_all(n_max: int, x) -> np.ndarray:
-    """P_0(x), ..., P_{n_max}(x) as one array of shape (n_max+1,) + shape(x)."""
+    """P_0(x), ..., P_{n_max}(x) as one array of shape (n_max+1,) + shape(x).
+
+    ``_legendre_rows`` writes each row in place by the operations that make
+    the rows of ``legendre_eval``, so every value equals its bit for bit.
+    """
     if n_max < 0:
         raise ValueError("degree must be non-negative")
     values = np.empty((n_max + 1,) + np.shape(x), dtype=np.result_type(x, float))
-    for k, p in enumerate(_legendre_rows(n_max, x)):
-        values[k] = p
+    for _ in _legendre_rows(n_max, x, values):
+        pass
     return values
 
 

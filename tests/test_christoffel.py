@@ -14,6 +14,7 @@ from ortholeg.christoffel import (
     kn_exact,
     q_basis_all,
 )
+from ortholeg.legendre import legendre_all, legendre_eval
 from ortholeg.ratpoly import LaurentPoly
 
 RNG = np.random.default_rng(1357)
@@ -39,6 +40,121 @@ def test_pair_matches_block_bit_for_bit():
             assert np.array_equal(pi, pstar[i])
             assert np.array_equal(pj, pstar[j])
             assert np.array_equal(kn_pair, kn)
+
+
+# the block built out of place: one new array per operation, the squares
+# summed in degree order, Q by a new quotient
+
+
+def _reference_rows(n, x):
+    p_prev = x * 0 + 1.0
+    yield p_prev
+    if n == 0:
+        return
+    p = x * p_prev
+    yield p
+    for m in range(1, n):
+        p_prev, p = p, ((2 * m + 1) * x * p - m * p_prev) / (m + 1)
+        yield p
+
+
+def _reference_legendre_all(n, x):
+    values = np.empty((n + 1,) + np.shape(x), dtype=np.result_type(x, float))
+    for k, p in enumerate(_reference_rows(n, x)):
+        values[k] = p
+    return values
+
+
+def _reference_pstar_kn(n, x):
+    pstar = _reference_legendre_all(n, x)
+    pstar *= np.sqrt(np.arange(1, 2 * n + 2, 2) / 2).reshape((n + 1,) + (1,) * np.ndim(x))
+    kn = pstar[0] * pstar[0]
+    for row in pstar[1:]:
+        kn = kn + row * row
+    return pstar, kn / (n + 1)
+
+
+def _reference_q_basis_all(n, x):
+    pstar, kn = _reference_pstar_kn(n, np.asarray(x, dtype=float))
+    return pstar / np.sqrt(kn)
+
+
+def _identical(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# its own generator, so the inputs of the tests above and below do not move
+_BLOCK_RNG = np.random.default_rng(2468)
+_BLOCK_POINTS = {
+    "()": np.array(0.37),
+    "float": -0.81,
+    "(1,)": _BLOCK_RNG.uniform(-1, 1, 1),
+    "(2,)": _BLOCK_RNG.uniform(-1, 1, 2),
+    "(5, 7)": _BLOCK_RNG.uniform(-1, 1, (5, 7)),
+    "(3000,)": np.concatenate(([-1.0, -0.0, 0.0, 1.0], _BLOCK_RNG.uniform(-1, 1, 2996))),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 160, 800])
+@pytest.mark.parametrize("x", _BLOCK_POINTS.values(), ids=_BLOCK_POINTS.keys())
+def test_block_is_bit_for_bit_the_out_of_place_block(n, x):
+    assert _identical(legendre_all(n, x), _reference_legendre_all(n, x))
+    pstar, kn = _pstar_kn(n, x)
+    reference = _reference_pstar_kn(n, x)
+    assert _identical(pstar, reference[0]) and _identical(kn, reference[1])
+    assert _identical(q_basis_all(n, x), _reference_q_basis_all(n, x))
+
+
+def test_block_of_non_finite_points_is_bit_for_bit_the_out_of_place_block():
+    x = np.array([np.nan, np.inf, -np.inf, 0.5])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in (0, 1, 2, 7):
+            assert _identical(legendre_all(n, x), _reference_legendre_all(n, x))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 160, 800])
+def test_complex_block_is_bit_for_bit_the_out_of_place_block(n):
+    # outside [-1, 1] the high rows overflow, as they did before
+    x = (_BLOCK_RNG.standard_normal(60) + 1j * _BLOCK_RNG.standard_normal(60)).reshape(3, 20) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _identical(legendre_all(n, x), _reference_legendre_all(n, x))
+
+
+def test_narrow_input_is_widened_to_the_block_dtype():
+    x = _BLOCK_POINTS["(3000,)"]
+    for narrow, wide in ((np.float32, np.float64), (np.complex64, np.complex128)):
+        block = legendre_all(160, x.astype(narrow))
+        assert _identical(block, legendre_all(160, x.astype(narrow).astype(wide)))
+        assert _identical(legendre_eval(160, x.astype(narrow)), block[160])
+
+
+@pytest.mark.parametrize("x", [0.37, -1.0, 3, 0.3 + 0.4j, 2 - 1j])
+def test_block_rows_are_legendre_eval_on_scalars(x):
+    for n in (0, 1, 2, 40):
+        assert _identical(legendre_all(n, x)[n], legendre_eval(n, x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 160, 800])
+@pytest.mark.parametrize("shape", ["(2,)", "(5, 7)", "(3000,)"])
+def test_degree_order_is_numpys_order_on_a_grid(n, shape):
+    # numpy sums a block of two or more points over axis 0 row by row, so on
+    # a grid K_n keeps the bits of np.sum; at a single point numpy sums the
+    # n + 1 squares pairwise, and the degree-order sum differs by a few ulps
+    x = _BLOCK_POINTS[shape]
+    pstar = _reference_pstar_kn(n, x)[0]
+    assert _identical(_pstar_kn(n, x)[1], np.sum(pstar * pstar, axis=0) / (n + 1))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 1025])
+def test_pair_matches_block_bit_for_bit_on_every_grid(size):
+    xs = np.cos((2 * np.arange(1, size + 1) - 1) * np.pi / (2 * size))
+    for n in (0, 1, 10, 160):
+        pstar, kn = _pstar_kn(n, xs)
+        for i, j in ((0, n), (n // 2, n // 3)):
+            pi, pj, kn_pair = _pstar_pair_kn(n, i, j, xs)
+            assert _identical(pi, pstar[i]) and _identical(pj, pstar[j])
+            assert _identical(kn_pair, kn)
 
 
 def test_value_at_one():

@@ -247,6 +247,59 @@ class TestRoots:
         assert set(payload["roots"][0]) == {"re", "im", "modulus", "residual"}
 
 
+class TestPatersonStockmeyer:
+    # degree 15 has 16 = 4^2 coefficients, four full blocks of four; degrees
+    # 16 and 17 take blocks of five, the last one part-filled; 0, 1, 2 and
+    # 800 are the ends
+    @pytest.mark.parametrize("degree", [0, 1, 2, 15, 16, 17, 800])
+    def test_matches_horner(self, degree):
+        rng = np.random.default_rng(degree)
+        polynomials = [np.concatenate(([1.0], rng.standard_normal(degree)))]
+        if degree:
+            even = factorization.fn_float_coeffs(degree)[::-1]
+            polynomials.append(even / even[0])
+        angles = 2 * np.pi * rng.random(64)
+        inside = np.sqrt(rng.random(64)) * np.exp(1j * angles)
+        points = np.concatenate((inside, np.exp(1j * angles), [0.0, 1.0, -1.0, 1j]))
+        for coeffs in polynomials:
+            deriv = np.polyder(coeffs) if degree else np.zeros(1)
+            values, slopes = factorization._paterson_stockmeyer(coeffs)(points)
+            # relative to sum_k |c_k| |w|^k, the size of Horner's own roundoff
+            for got, c in ((values, coeffs), (slopes, deriv)):
+                scale = np.polyval(np.abs(c), np.abs(points))
+                expected = np.polyval(c, points)
+                assert np.max(np.abs(got - expected) / np.maximum(scale, 1e-300)) < 1e-14
+
+    def test_a_faulty_evaluator_cannot_certify_its_roots(self, monkeypatch):
+        # the faulty evaluator returns the values of p with its constant term
+        # scaled by 1 + 1e-4, whatever the scale of p, so the sweeps converge
+        # to roots it would pass itself; the Horner residual rejects them
+        original = factorization._paterson_stockmeyer
+
+        def perturbed(coeffs):
+            faulty = np.array(coeffs, dtype=float)
+            faulty[-1] *= 1 + 1e-4
+            return original(faulty)
+
+        monkeypatch.setattr(factorization, "_paterson_stockmeyer", perturbed)
+        for n in (1, 5, 40, 200):
+            assert not any(r.converged for r in fn_roots(n).roots)
+
+
+class TestRootRecords:
+    @pytest.mark.parametrize("n", [*range(1, 61), 200, 800])
+    def test_records_follow_the_per_root_rule(self, n):
+        report = fn_roots(n)
+        radius2 = float(fn_root_radius_bound(n)) * (1 + 1e-10)
+        for r in report.roots:
+            assert all(type(v) is float for v in (r.re, r.im, r.modulus, r.residual))
+            assert type(r.converged) is bool
+            assert r.modulus == abs(complex(r.re, r.im))
+            assert r.converged == (r.residual <= 1e-10 * (n + 1) and r.modulus ** 2 <= radius2)
+        assert type(report.max_modulus) is float
+        assert report.max_modulus == max(r.modulus for r in report.roots)
+
+
 class TestRootRadiusBound:
     def test_bound_is_the_largest_coefficient_ratio(self):
         for n in range(1, 41):
