@@ -16,6 +16,7 @@ arcsine-sampled least squares.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,41 +27,50 @@ from .legendre import _legendre_rows, legendre_all, legendre_exact
 from .ratpoly import LaurentPoly
 
 
+def _kn_sum(n: int, rows, keep=()) -> tuple[np.ndarray, dict]:
+    """K_n(x) in sum form from the rows P_0(x), ..., P_n(x), and the P_k*(x) with k in ``keep``.
+
+    The rows are scaled to P_k* = sqrt((2k+1)/2) P_k: the (n+1)-row block of
+    ``legendre_all`` in place by one broadcast product, any other iterable
+    row by row into new arrays.  The squares are added in degree order into
+    one vector.
+    """
+    scale = np.sqrt(np.arange(1, 2 * n + 2, 2) / 2)
+    if isinstance(rows, np.ndarray):
+        rows *= scale.reshape((n + 1,) + (1,) * (rows.ndim - 1))
+    else:
+        rows = map(operator.mul, rows, scale)
+    kept = {}
+    for k, row in enumerate(rows):
+        if k in keep:
+            kept[k] = row
+        if k == 0:
+            total = row * row
+            square = np.empty_like(total)
+        else:
+            total += np.multiply(row, row, out=square)
+    total /= n + 1
+    return total, kept
+
+
 def _pstar_kn(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """P_0*(x), ..., P_n*(x) stacked along axis 0, and K_n(x) in sum form.
 
-    The squares are added row by row in degree order into one vector beside
-    the block.
+    The block is scaled in place.
     """
     pstar = legendre_all(n, x)
-    pstar *= np.sqrt(np.arange(1, 2 * n + 2, 2) / 2).reshape((n + 1,) + (1,) * np.ndim(x))
-    total = pstar[0, ...] * pstar[0, ...]
-    square = np.empty_like(total)
-    for row in pstar[1:]:
-        total += np.multiply(row, row, out=square)
-    total /= n + 1
-    return pstar, total
+    return pstar, _kn_sum(n, pstar)[0]
 
 
 def _pstar_pair_kn(n: int, i: int, j: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P_i*(x), P_j*(x) and K_n(x) in sum form, holding two rows of the recurrence.
 
-    The squares are added in order of degree, as ``_pstar_kn`` adds them,
-    so the three values are bit for bit those of ``_pstar_kn``; no
-    (n+1)-row block is allocated.
+    The rows pass through ``_kn_sum`` as those of ``_pstar_kn`` do, so the
+    three values are bit for bit those of ``_pstar_kn``; no (n+1)-row block
+    is allocated.
     """
-    scale = np.sqrt(np.arange(1, 2 * n + 2, 2) / 2)
-    for k, p in enumerate(_legendre_rows(n, x)):
-        row = p * scale[k]
-        if k == i:
-            pi = row
-        if k == j:
-            pj = row
-        if k == 0:
-            total = row * row
-        else:
-            total += row * row
-    return pi, pj, total / (n + 1)
+    kn, kept = _kn_sum(n, _legendre_rows(n, x), keep=(i, j))
+    return kept[i], kept[j], kn
 
 
 @lru_cache(maxsize=1)

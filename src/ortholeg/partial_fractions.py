@@ -17,6 +17,12 @@ the moment is 2 for P_0 and 0 for every 1 <= m <= 2n, hence the inner
 product of P_i* and P_j* under the arcsine/Christoffel weight is exactly the
 Kronecker delta.
 
+B_k and D_k are the reversals z^{2n-2} A_k(1/z) and z^{2n-2} C_k(1/z) of
+A_k and C_k.  Since G_n = z^{2n} F_n(1/z) and J(1/z) = J(z), the
+substitution z -> 1/z, times z^{4n-2}, maps the split onto itself with the
+roles of U_m and V_m exchanged.  So ``build_abcd`` runs the Legendre
+recurrence on U only and reverses each U_m to get V_m.
+
 The split is certified by recurrence transfer, the principle behind
 Petkovšek, Wilf & Zeilberger, *A = B* (1996): two sequences that satisfy one
 linear recurrence and agree at two starting values agree everywhere.  When
@@ -48,26 +54,31 @@ from .ratpoly import JOUKOWSKI, LaurentPoly, satisfies_legendre_recurrence
 def build_abcd(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]]:
     """The splitting family (U_0..U_{2n}, V_0..V_{2n}) of degree n.
 
-    U_n = V_n = z^{n-1}, and U_{n-1}, V_{n-1} are closed binomials; every
-    other member follows from the Legendre recurrence
-    (m+1) P_{m+1} + m P_{m-1} = (2m+1) x P_m with x -> J(z), run up to
-    m = 2n and down to m = 0.  In that recurrence the neighbour P_j carries
-    the factor max(m, j), whichever of the two neighbours is solved for.
-    The recursion multiplies by J(z), so members are Laurent polynomials.
+    U_n = z^{n-1} and U_{n-1} = ((2n+1) z^n - z^{n-2}) / 2n; every other U_m
+    follows from the Legendre recurrence (m+1) P_{m+1} + m P_{m-1} =
+    (2m+1) x P_m with x -> J(z), run up to m = 2n and down to m = 0.  In
+    that recurrence the neighbour P_j carries the factor max(m, j),
+    whichever of the two neighbours is solved for.  The recursion
+    multiplies by J(z), so members are Laurent polynomials.
+
+    V_m = z^{2n-2} U_m(1/z) for every m.  The reversal X -> z^{2n-2} X(1/z)
+    is linear and commutes with multiplication by J, as J(1/z) = J(z), so it
+    carries U's recurrence onto a sequence that satisfies the same
+    recurrence.  It maps U_n onto V_n = z^{n-1} and U_{n-1} onto
+    V_{n-1} = ((2n+1) z^{n-2} - z^n) / 2n, and the recurrence fixes every
+    member from those two, so the reversed U is V: the paper's B_k and D_k
+    are the reversals of its A_k and C_k.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    base = LaurentPoly.monomial(n - 1)
-    top, low = Fraction(2 * n + 1, 2 * n), Fraction(-1, 2 * n)
-    u = {n: base, n - 1: LaurentPoly({n: top, n - 2: low})}
-    v = {n: base, n - 1: LaurentPoly({n - 2: top, n: low})}
+    u = {n: LaurentPoly.monomial(n - 1),
+         n - 1: LaurentPoly({n: Fraction(2 * n + 1, 2 * n), n - 2: Fraction(-1, 2 * n)})}
     steps = [(m, m + 1) for m in range(n, 2 * n)] + [(m, m - 1) for m in range(n - 1, 0, -1)]
     for m, new in steps:
         old = 2 * m - new
-        factor = Fraction(1, max(m, new))
-        for member in (u, v):
-            member[new] = ((2 * m + 1) * JOUKOWSKI * member[m] - max(m, old) * member[old]) * factor
-    return tuple(u[m] for m in range(2 * n + 1)), tuple(v[m] for m in range(2 * n + 1))
+        u[new] = ((2 * m + 1) * JOUKOWSKI * u[m] - max(m, old) * u[old]) * Fraction(1, max(m, new))
+    family = tuple(u[m] for m in range(2 * n + 1))
+    return family, tuple(p.recip().shift(2 * n - 2) for p in family)
 
 
 class _LastResult:

@@ -23,6 +23,8 @@ GOLDEN_SHA256 = {
         "02aff678184cfd2aebed9083261fffe2ebb38831a0ffe6e35e335f64b69659db",
     ("verify-identities", "--n-max", "25"):
         "dca2fdac554f4a42e1ccc0e793262f8c3d5b691ee38be535a8d7ec0925eaa876",
+    ("verify-identities", "--n-max", "60"):
+        "04a75aa82b6055f4a406cb4a2f2ca5a5d3c6c2ca5a28e83a7976af665dcf3f81",
     ("factor", "--n", "6"):
         "2b129188d6ac0b2ef8648455a19c1e4e8174892c841a8068a3b236d578c2ca27",
     ("moments", "--n", "8"):

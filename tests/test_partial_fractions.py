@@ -47,6 +47,24 @@ class TestBuild:
             u, v = build_abcd(n)
             assert u[n] == v[n] == lp({n - 1: 1})
 
+    @staticmethod
+    def v_by_recurrence(n):
+        # V run from its own seeds through the Legendre recurrence, as U is
+        v = {n: lp({n - 1: 1}), n - 1: lp({n - 2: F(2 * n + 1, 2 * n), n: F(-1, 2 * n)})}
+        steps = [(m, m + 1) for m in range(n, 2 * n)] + [(m, m - 1) for m in range(n - 1, 0, -1)]
+        for m, new in steps:
+            old = 2 * m - new
+            step = (2 * m + 1) * ratpoly.JOUKOWSKI * v[m] - max(m, old) * v[old]
+            v[new] = step * F(1, max(m, new))
+        return tuple(v[m] for m in range(2 * n + 1))
+
+    def test_v_is_v_by_its_own_recurrence(self):
+        for n in range(1, 41):
+            v, expected = build_abcd(n)[1], self.v_by_recurrence(n)
+            assert v == expected
+            assert list(map(repr, v)) == list(map(repr, expected))
+            assert [list(p.terms()) for p in v] == [list(p.terms()) for p in expected]
+
 
 class TestPfdPlus:
     def test_degree_one_first_step(self):
