@@ -27,19 +27,19 @@ from .legendre import _legendre_rows, legendre_all, legendre_exact
 from .ratpoly import LaurentPoly
 
 
-def _kn_sum(n: int, rows, keep=()) -> tuple[np.ndarray, dict]:
-    """K_n(x) in sum form from the rows P_0(x), ..., P_n(x), and the P_k*(x) with k in ``keep``.
+def _pstar_scale(n: int) -> np.ndarray:
+    """The factors sqrt((2k+1)/2), k = 0..n, that take P_k to P_k*."""
+    return np.sqrt(np.arange(1, 2 * n + 2, 2) / 2)
 
-    The rows are scaled to P_k* = sqrt((2k+1)/2) P_k: the (n+1)-row block of
-    ``legendre_all`` in place by one broadcast product, any other iterable
-    row by row into new arrays.  The squares are added in degree order into
-    one vector.
+
+def _kn_sum(n: int, rows, keep=()) -> tuple[np.ndarray, dict]:
+    """K_n(x) in sum form from the rows P_0*(x), ..., P_n*(x), and the P_k*(x) with k in ``keep``.
+
+    The rows come scaled to P_k* = sqrt((2k+1)/2) P_k by the factors of
+    ``_pstar_scale``, each row by one product, whatever holds them: one
+    block, two parity blocks or a stream.  The squares are added in degree
+    order into one vector, so K_n keeps its bits whichever holds the rows.
     """
-    scale = np.sqrt(np.arange(1, 2 * n + 2, 2) / 2)
-    if isinstance(rows, np.ndarray):
-        rows *= scale.reshape((n + 1,) + (1,) * (rows.ndim - 1))
-    else:
-        rows = map(operator.mul, rows, scale)
     kept = {}
     for k, row in enumerate(rows):
         if k in keep:
@@ -56,20 +56,22 @@ def _kn_sum(n: int, rows, keep=()) -> tuple[np.ndarray, dict]:
 def _pstar_kn(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """P_0*(x), ..., P_n*(x) stacked along axis 0, and K_n(x) in sum form.
 
-    The block is scaled in place.
+    The block is scaled in place, by one broadcast product.
     """
     pstar = legendre_all(n, x)
+    pstar *= _pstar_scale(n).reshape((n + 1,) + (1,) * (pstar.ndim - 1))
     return pstar, _kn_sum(n, pstar)[0]
 
 
 def _pstar_pair_kn(n: int, i: int, j: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P_i*(x), P_j*(x) and K_n(x) in sum form, holding two rows of the recurrence.
 
-    The rows pass through ``_kn_sum`` as those of ``_pstar_kn`` do, so the
-    three values are bit for bit those of ``_pstar_kn``; no (n+1)-row block
-    is allocated.
+    Each row of the stream is scaled into a new array and passes through
+    ``_kn_sum`` as those of ``_pstar_kn`` do, so the three values are bit for
+    bit those of ``_pstar_kn``; no (n+1)-row block is allocated.
     """
-    kn, kept = _kn_sum(n, _legendre_rows(n, x), keep=(i, j))
+    rows = map(operator.mul, _legendre_rows(n, x), _pstar_scale(n))
+    kn, kept = _kn_sum(n, rows, keep=(i, j))
     return kept[i], kept[j], kn
 
 
@@ -122,3 +124,25 @@ def q_basis_all(n: int, x) -> np.ndarray:
     pstar /= np.sqrt(kn)
     return pstar
 
+
+def _q_parity(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """Q_0(x), Q_2(x), ... and Q_1(x), Q_3(x), ...: the Q basis in two blocks by parity of degree.
+
+    For x on [-1, 1], not checked.  The values are bit for bit those of
+    ``q_basis_all``: ``legendre_all`` writes each degree's row into its
+    block, each block is scaled by its slice of ``_pstar_scale``, and
+    ``_kn_sum`` adds the rows in degree order.  The Gram of
+    ``quadrature_verify`` takes one symmetric product of each block, so it
+    never copies rows out by parity, and its largest array is half an
+    (n+1)-row block.
+    """
+    blocks = np.empty((n // 2 + 1,) + np.shape(x)), np.empty(((n + 1) // 2,) + np.shape(x))
+    rows = [blocks[k % 2][k // 2] for k in range(n + 1)]
+    legendre_all(n, x, rows)
+    scale = _pstar_scale(n)
+    for parity, block in enumerate(blocks):
+        block *= scale[parity::2].reshape((-1,) + (1,) * np.ndim(x))
+    root = np.sqrt(_kn_sum(n, rows)[0])
+    for block in blocks:
+        block /= root
+    return blocks

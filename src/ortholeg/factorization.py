@@ -360,11 +360,13 @@ def fn_roots(n: int) -> RootReport:
         modulus**2 <= float(fn_root_radius_bound(n)) * (1 + 1e-10))
     records = map(RootRecord, zs.real.tolist(), zs.imag.tolist(), modulus.tolist(),
                   residuals.tolist(), converged.tolist())
-    diffs = np.abs(zs[:, None] - zs[None, :])
-    np.fill_diagonal(diffs, np.inf)
+    # the z-roots are exactly +-s, so their distances are |s_k - s_l| and |s_k + s_l|
+    apart = np.abs(s[:, None] - s[None, :])
+    np.fill_diagonal(apart, np.inf)
+    across = np.abs(s[:, None] + s[None, :])
     return RootReport(
         n=n,
         roots=tuple(records),
         max_modulus=float(modulus.max()),
-        min_separation=float(diffs.min()),
+        min_separation=float(min(apart.min(), across.min())),
     )

@@ -25,22 +25,22 @@ _X = LaurentPoly.monomial(1)
 _HALF = Fraction(1, 2)
 
 
-def _legendre_rows(n: int, x, block=None):
+def _legendre_rows(n: int, x, rows=None):
     """Yield P_0(x), ..., P_n(x) by the forward three-term recurrence.
 
     (m + 1) P_{m+1} = (2m + 1) x P_m - m P_{m-1}, elementwise on arrays and
     complex input, each step as ((2m + 1) x) P_m - m P_{m-1}, then / (m + 1),
     with x first widened to ``np.result_type(x, float)``.  Forward
     recurrence is stable on [-1, 1] for the degrees used here.  Each row is
-    a new array, or, given the (n+1)-row ``block``, is written in place into
-    ``block[k, ...]``.
+    a new array, or, given ``rows``, n + 1 arrays of shape(x), is written in
+    place into ``rows[k]``.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     x = np.asarray(x, dtype=np.result_type(x, float))
 
     def out(k):
-        return None if block is None else block[k, ...]
+        return None if rows is None else rows[k]
 
     p_prev = np.multiply(x, 0, out=out(0))
     p_prev += 1.0
@@ -66,16 +66,23 @@ def legendre_eval(n: int, x):
     return p
 
 
-def legendre_all(n_max: int, x) -> np.ndarray:
+def legendre_all(n_max: int, x, rows=None):
     """P_0(x), ..., P_{n_max}(x) as one array of shape (n_max+1,) + shape(x).
 
     ``_legendre_rows`` writes each row in place by the operations that make
     the rows of ``legendre_eval``, so every value equals its bit for bit.
+    Given ``rows``, n_max + 1 arrays of shape(x) and of x's widened dtype,
+    the rows are written into them instead, and ``rows`` is returned: a
+    caller can so lay the block out as it needs, as the Gram of
+    ``quadrature_verify`` holds its even and odd degrees in two blocks.
     """
     if n_max < 0:
         raise ValueError("degree must be non-negative")
-    values = np.empty((n_max + 1,) + np.shape(x), dtype=np.result_type(x, float))
-    for _ in _legendre_rows(n_max, x, values):
+    values = rows
+    if rows is None:
+        values = np.empty((n_max + 1,) + np.shape(x), dtype=np.result_type(x, float))
+        rows = [values[k, ...] for k in range(n_max + 1)]  # views, even for a scalar x
+    for _ in _legendre_rows(n_max, x, rows):
         pass
     return values
 

@@ -299,6 +299,16 @@ class TestRootRecords:
         assert type(report.max_modulus) is float
         assert report.max_modulus == max(r.modulus for r in report.roots)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200, 800])
+    def test_separation_matches_the_full_distance_matrix(self, n):
+        # the two n x n blocks over +-s give the 2n x 2n matrix's minimum to the bit
+        report = fn_roots(n)
+        zs = np.array([complex(r.re, r.im) for r in report.roots])
+        diffs = np.abs(zs[:, None] - zs[None, :])
+        np.fill_diagonal(diffs, np.inf)
+        assert type(report.min_separation) is float
+        assert report.min_separation == float(diffs.min())
+
 
 class TestRootRadiusBound:
     def test_bound_is_the_largest_coefficient_ratio(self):

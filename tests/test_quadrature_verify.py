@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ortholeg import quadrature_verify
-from ortholeg.christoffel import _pstar_kn, q_basis_all
+from ortholeg import christoffel, quadrature_verify
+from ortholeg.christoffel import _pstar_kn, _pstar_pair_kn, q_basis_all
 from ortholeg.factorization import fn_float_coeffs
 from ortholeg.legendre import legendre_eval
 from ortholeg.partial_fractions import moments_table
@@ -81,8 +81,18 @@ class TestOrthogonalityNumeric:
     def test_refine_budget_counts_rows(self, monkeypatch):
         monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 100 * 256)
         grids = []
-        quadrature_verify._refine(lambda p: grids.append(p) or float(p), 0.0, 100)
+        quadrature_verify._refine(lambda *ps: [grids.append(p) or float(p) for p in ps], 0.0, 100)
         assert grids == [64, 128, 256]
+
+    @pytest.mark.parametrize("start", [2**20, 2**21])
+    def test_start_without_room_to_double_is_rejected(self, start):
+        # the last grid for 2 rows is MAX_POINTS: a start there or past it leaves no doubling
+        assert quadrature_verify._last_grid(2) == quadrature_verify.MAX_POINTS == 2**20
+        with pytest.raises(ValueError):
+            quadrature_verify._refine(lambda *grids: [1.0] * len(grids), 0.1, 2, start=start)
+        value, points, history, _ = quadrature_verify._refine(
+            lambda *grids: [1.0] * len(grids), 0.1, 2, start=start // 4)
+        assert (value, points, history) == (1.0, start // 2, [0.0])
 
     def test_budget_without_room_to_refine_is_rejected(self, monkeypatch):
         monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 128 * 5)
@@ -112,7 +122,7 @@ class TestNestedGrids:
         report = orthogonality_numeric(n)
         start = quadrature_verify._predicted_points(n, 1e-11, n + 1) // 2
         gram, points, history, _ = quadrature_verify._refine(
-            lambda p: _full_grid_gram(n, p), 1e-11, n + 1, start)
+            lambda *grids: [_full_grid_gram(n, p) for p in grids], 1e-11, n + 1, start)
         assert report.points_used == points
         assert len(report.refinement_history) == len(history)
         assert np.max(np.abs(report.gram - gram)) <= 1e-14
@@ -120,19 +130,14 @@ class TestNestedGrids:
     @pytest.mark.parametrize("n", [0, 7, 40])
     def test_each_point_is_evaluated_once(self, n, monkeypatch):
         # the quarter period 0..pi/2 of the final grid: points_used / 4 + 1 angles;
-        # one call for the start grid, half the predicted one, then one per doubling
-        counted = []
-
-        def counting(degree, x):
-            counted.append(np.size(x))
-            return q_basis_all(degree, x)
-
-        monkeypatch.setattr(quadrature_verify, "q_basis_all", counting)
+        # one call for the start grid, half the predicted one, and its first
+        # doubling, then one per later doubling
+        counted = _count_sizes(monkeypatch, christoffel, "legendre_all", 1)
         report = orthogonality_numeric(n)
         start = max(quadrature_verify._predicted_points(n, 1e-11, n + 1) // 2, BASE_POINTS)
         assert sum(counted) == report.points_used // 4 + 1
-        assert counted[0] == start // 4 + 1
-        assert len(counted) == len(report.refinement_history) + 1
+        assert counted[0] == start // 2 + 1
+        assert len(counted) == len(report.refinement_history)
 
     def test_gram_is_exactly_symmetric(self):
         for n in (3, 9, 20, 64):
@@ -152,11 +157,12 @@ class TestNestedGrids:
         assert all((i + j) % 2 == 0 for i, j in report.unconverged_entries)
 
     def test_grids_must_double(self):
-        evaluate = quadrature_verify._periodic(np.ones_like, np.sum)
-        evaluate(64)
-        evaluate(128)
+        evaluate = quadrature_verify._periodic(np.ones_like, lambda v, cols: np.sum(v[cols]))
+        evaluate(64, 128)
         with pytest.raises(ValueError):
             evaluate(512)
+        with pytest.raises(ValueError):
+            evaluate(64, 256)
 
 
 class TestContourMoment:
@@ -190,7 +196,7 @@ class TestContourMoment:
             return 2 * (n + 1) * z ** (2 * n - 1) * legendre_eval(k, 0.5 * (z + 1 / z)) / fg
 
         full = quadrature_verify._refine(
-            lambda p: unit_circle_integral(integrand, p), 1e-12, k + 1)[0]
+            lambda *grids: [unit_circle_integral(integrand, p) for p in grids], 1e-12, k + 1)[0]
         moment = contour_moment_numeric(n, k)
         assert moment.imag == 0.0
         assert abs(moment.real - full.real) <= 1e-14
@@ -198,9 +204,9 @@ class TestContourMoment:
     @pytest.mark.parametrize("n, k, evaluated", [(20, 0, 257), (120, 238, 1025),
                                                  (200, 398, 2049)])
     def test_each_angle_is_evaluated_once(self, n, k, evaluated, monkeypatch):
-        # the P/8 + 1 angles of [0, pi/2] on half the predicted grid P, then the
-        # odd angles of each later doubling; even k only, as an odd-k
-        # integrand converges at once
+        # the P/8 + 1 angles of [0, pi/2] on half the predicted grid P and the
+        # P/8 odd angles of P in one call, then the odd angles of each later
+        # doubling; even k only, as an odd-k integrand converges at once
         counted = []
 
         def counting(degree, x):
@@ -210,8 +216,8 @@ class TestContourMoment:
         monkeypatch.setattr(quadrature_verify, "legendre_eval", counting)
         contour_moment_numeric(n, k)
         half = quadrature_verify._predicted_points(n, 1e-12, 2) // 8
-        doublings = len(counted) - 1
-        assert counted == [half + 1] + [half * 2**m for m in range(doublings)]
+        doublings = len(counted)
+        assert counted == [2 * half + 1] + [half * 2**m for m in range(1, doublings)]
         assert sum(counted) == evaluated == half * 2**doublings + 1
 
     def test_degree_2n_converges_below_the_degree_cap(self, monkeypatch):
@@ -240,7 +246,7 @@ class TestIntervalForm:
 
         for n, i, j in ((0, 0, 0), (7, 2, 5), (60, 17, 17), (198, 119, 119), (200, 3, 150)):
             reference = quadrature_verify._refine(
-                lambda p: block_value(n, i, j, p), 1e-13, n + 1)[0]
+                lambda *grids: [block_value(n, i, j, p) for p in grids], 1e-13, n + 1)[0]
             assert interval_form_numeric(n, i, j) == reference
 
     def test_matches_theta_form(self):
@@ -255,12 +261,25 @@ def _levels(monkeypatch, form, *args):
     refine = quadrature_verify._refine
 
     def recording(evaluate, tol, rows, start=BASE_POINTS):
-        return refine(lambda p: levels.append((p, evaluate(p))) or levels[-1][1], tol, rows, start)
+        def record(*grids):
+            values = evaluate(*grids)
+            levels.extend(zip(grids, values))
+            return values
+
+        return refine(record, tol, rows, start)
 
     monkeypatch.setattr(quadrature_verify, "_refine", recording)
     result = form(*args)
     monkeypatch.setattr(quadrature_verify, "_refine", refine)
     return levels, result
+
+
+def _count_sizes(monkeypatch, module, name, position):
+    # the size of the points each call of module.name is given at ``position``
+    counted = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: counted.append(np.size(a[position])) or original(*a))
+    return counted
 
 
 def _same(a, b):
@@ -299,13 +318,7 @@ class TestPredictedGrid:
                 assert result == base
 
     def test_gram_evaluates_no_finer_grid_than_it_uses(self, monkeypatch):
-        counted = []
-
-        def counting(degree, x):
-            counted.append(np.size(x))
-            return q_basis_all(degree, x)
-
-        monkeypatch.setattr(quadrature_verify, "q_basis_all", counting)
+        counted = _count_sizes(monkeypatch, christoffel, "legendre_all", 1)
         for n in [*range(1, 201), 800]:
             counted.clear()
             report = orthogonality_numeric(n)
@@ -323,22 +336,21 @@ class TestPredictedGrid:
         for k in (0, 2 * n):
             counted.clear()
             levels, _ = _levels(monkeypatch, contour_moment_numeric, n, k)
-            # the first call holds the quarter period of one grid, 0..pi/2
+            # the first call holds the quarter period 0..pi/2 of the second grid
             assert 4 * (counted[0] - 1) <= levels[-1][0]
 
     @pytest.mark.parametrize("n, i, j", [(20, 0, 0), (120, 60, 60), (200, 3, 151),
                                          (5, 2, 3), (60, 0, 17), (200, 3, 150)])
     def test_interval_evaluates_the_nodes_of_its_grids_once(self, n, i, j, monkeypatch):
         # the midpoint nodes of the start grid, twice it, ... up to the final
-        # grid, one call per grid, and no more: the positive half of them for
-        # an even i + j, which starts at a quarter of the predicted periodic
-        # grid, and all of them for an odd i + j
-        counted = []
-        original = quadrature_verify._pstar_pair_kn
-        monkeypatch.setattr(quadrature_verify, "_pstar_pair_kn",
-                            lambda *a: counted.append(np.size(a[-1])) or original(*a))
+        # grid, and no more: the first two grids in one call, then one call
+        # per grid; the positive half of them for an even i + j, which starts
+        # at a quarter of the predicted periodic grid, and all of them for an
+        # odd i + j
+        counted = _count_sizes(monkeypatch, quadrature_verify, "_pstar_pair_kn", 3)
         levels, _ = _levels(monkeypatch, interval_form_numeric, n, i, j)
-        assert counted == [p // 2 if (i + j) % 2 == 0 else p for p, _ in levels]
+        nodes = [p // 2 if (i + j) % 2 == 0 else p for p, _ in levels]
+        assert counted == [nodes[0] + nodes[1]] + nodes[2:]
         start = quadrature_verify._predicted_points(n, 1e-13, 2) // 4
         assert levels[0][0] == (max(start, BASE_POINTS) if (i + j) % 2 == 0 else BASE_POINTS)
 
@@ -349,18 +361,16 @@ class TestPredictedGrid:
         monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 11 * 256)
         assert quadrature_verify._predicted_points(10, 1e-300, 11) == 256
         assert quadrature_verify._last_grid(2) == 1024
-        sizes = {"q_basis_all": [], "legendre_eval": [], "_pstar_pair_kn": []}
-        for name, counted in sizes.items():
-            original = getattr(quadrature_verify, name)
-            monkeypatch.setattr(quadrature_verify, name, lambda *a, counted=counted, f=original:
-                                counted.append(np.size(a[-1])) or f(*a))
+        gram = _count_sizes(monkeypatch, christoffel, "legendre_all", 1)
+        contour = _count_sizes(monkeypatch, quadrature_verify, "legendre_eval", 1)
+        interval = _count_sizes(monkeypatch, quadrature_verify, "_pstar_pair_kn", 3)
         report = orthogonality_numeric(10, tol=1e-300)
         contour_moment_numeric(10, 10)
         interval_form_numeric(10, 5, 5)
         assert report.points_used == 256 and not report.converged
-        assert sizes["q_basis_all"] == [33, 32]
-        assert max(sizes["legendre_eval"]) <= 1024 // 4 + 1
-        assert max(sizes["_pstar_pair_kn"]) <= 1024 // 2
+        assert gram == [65]
+        assert max(contour) <= 1024 // 4 + 1
+        assert max(interval) <= 1024 // 2
 
     @pytest.mark.parametrize("n, tol, points", [(5, 1e6, 128), (0, 1e-300, 128), (0, 1e6, 128),
                                                 (5, 1e-300, 2**20)])
@@ -384,13 +394,12 @@ class TestPredictedGrid:
 class TestFold:
     @pytest.mark.parametrize("n, k", [(5, 3), (20, 17), (120, 239)])
     def test_odd_k_contour_evaluates_the_whole_symmetric_grid(self, n, k, monkeypatch):
-        # the integrand at t and pi - t for each angle t of [0, pi/2], one call per grid
-        counted = []
-        monkeypatch.setattr(quadrature_verify, "legendre_eval",
-                            lambda degree, x: counted.append(np.size(x)) or legendre_eval(degree, x))
+        # the integrand at t and pi - t for each angle t of [0, pi/2], the
+        # first two grids in one call, then one call per grid
+        counted = _count_sizes(monkeypatch, quadrature_verify, "legendre_eval", 1)
         levels, _ = _levels(monkeypatch, contour_moment_numeric, n, k)
         grids = [p for p, _ in levels]
-        assert counted == [2 * (grids[0] // 4 + 1)] + [p // 4 for p in grids[1:]]
+        assert counted == [2 * (grids[0] // 4 + 1) + grids[1] // 4] + [p // 4 for p in grids[2:]]
 
     @pytest.mark.parametrize("n", [20, 37, 55, 71, 93, 110, 128, 149, 166, 181, 200])
     def test_forms_match_unfolded_oracles(self, n, monkeypatch):
@@ -411,7 +420,7 @@ class TestFold:
 
         levels, report = _levels(monkeypatch, orthogonality_numeric, n)
         gram, points, history, _ = quadrature_verify._refine(
-            lambda p: _full_grid_gram(n, p), 1e-11, n + 1, levels[0][0])
+            lambda *grids: [_full_grid_gram(n, p) for p in grids], 1e-11, n + 1, levels[0][0])
         assert levels[-1][0] == report.points_used == points
         assert len(report.refinement_history) == len(history)
         assert report.converged == (history[-1] < 1e-11)
@@ -422,12 +431,127 @@ class TestFold:
         for k in (0, 1, n, 2 * n - 1, 2 * n):
             levels, moment = _levels(monkeypatch, contour_moment_numeric, n, k)
             value, points, _, _ = quadrature_verify._refine(
-                lambda p: contour(k, p), 1e-12, 2, levels[0][0])
+                lambda *grids: [contour(k, p) for p in grids], 1e-12, 2, levels[0][0])
             assert levels[-1][0] == points
             assert moment.imag == 0.0 and abs(moment.real - value) <= 1e-14
         for i, j in ((0, 0), (n // 2, n // 2), (1, n), (n // 3, n - n // 3), (n - 1, n)):
             levels, result = _levels(monkeypatch, interval_form_numeric, n, i, j)
             value, points, _, _ = quadrature_verify._refine(
-                lambda p: interval(i, j, p), 1e-13, 2, levels[0][0])
+                lambda *grids: [interval(i, j, p) for p in grids], 1e-13, 2, levels[0][0])
             assert levels[-1][0] == points
             assert abs(result - value) <= 1e-15
+
+
+def _one_grid_ladder(evaluate, tol, rows, start=BASE_POINTS):
+    # the refinement loop with one grid per call, each grid evaluated on its own
+    points, last = max(start, BASE_POINTS), quadrature_verify._last_grid(rows)
+    value = evaluate(points)
+    history = []
+    while points < last:
+        points *= 2
+        cur = evaluate(points)
+        change = abs(cur - value)
+        history.append(float(np.max(change)))
+        value = cur
+        if history[-1] < tol:
+            break
+    return value, points, history, change
+
+
+def _one_grid_periodic(values, total):
+    # the quarter period of the first grid in one call, then the odd angles of
+    # each doubling in one call each: the ends once, the rest twice
+    last = running = None
+
+    def evaluate(points):
+        nonlocal last, running
+        if last is None:
+            v = values(2 * np.pi * np.arange(points // 4 + 1) / points)
+            running = 2 * total(v[..., 1:-1]) + total(v[..., :1]) + total(v[..., -1:])
+        else:
+            assert points == 2 * last
+            running = running + 2 * total(values(2 * np.pi * np.arange(1, points // 4, 2) / points))
+        last = points
+        return running / points
+
+    return evaluate
+
+
+def _one_grid_gram(n, tol=1e-10):
+    def total(q):
+        gram = np.zeros((n + 1, n + 1))
+        for rows in (slice(0, None, 2), slice(1, None, 2)):
+            gram[rows, rows] = 2 * (q[rows] @ q[rows].T)
+        return gram
+
+    start = quadrature_verify._predicted_points(n, tol / 10, n + 1) // 2
+    evaluate = _one_grid_periodic(lambda t: q_basis_all(n, np.cos(t)), total)
+    return _one_grid_ladder(evaluate, tol / 10, n + 1, start)
+
+
+def _one_grid_contour(n, k):
+    coeffs = fn_float_coeffs(n)[::-1]
+
+    def integrand(t):
+        f = np.polyval(coeffs, np.exp(2j * t))
+        return 2 * (n + 1) * legendre_eval(k, np.cos(t)) / (f.real**2 + f.imag**2)
+
+    def folded(t):
+        if k % 2 == 0:
+            return 2 * integrand(t)
+        v = integrand(np.concatenate([t, np.pi - t]))
+        return v[:t.size] + v[t.size:]
+
+    start = quadrature_verify._predicted_points(n, 1e-12, 2) // 2 if k % 2 == 0 else BASE_POINTS
+    return _one_grid_ladder(_one_grid_periodic(folded, np.sum), 1e-12, 2, start)
+
+
+def _one_grid_interval(n, i, j):
+    def value(points):
+        m = np.arange(1, (points // 2 if (i + j) % 2 == 0 else points) + 1)
+        pi, pj, kn = _pstar_pair_kn(n, i, j, np.cos((2 * m - 1) * np.pi / (2 * points)))
+        return float(np.mean(pi * pj / kn))
+
+    start = quadrature_verify._predicted_points(n, 1e-13, 2) // 4 if (i + j) % 2 == 0 else BASE_POINTS
+    return _one_grid_ladder(value, 1e-13, 2, start)
+
+
+def _refined(monkeypatch, form, *args):
+    # what the form's refinement returns, and the form's own result
+    refine, returned = quadrature_verify._refine, []
+    monkeypatch.setattr(quadrature_verify, "_refine",
+                        lambda *a: returned.append(refine(*a)) or returned[-1])
+    result = form(*args)
+    monkeypatch.setattr(quadrature_verify, "_refine", refine)
+    return returned[0], result
+
+
+class TestOneGridLadder:
+    """The first two grids share one sweep; every value is that of one sweep per grid."""
+
+    @pytest.mark.parametrize("n, tol", [(n, 1e-10) for n in [*range(41), 64, 115, 155, 200, 800]]
+                             + [(3, 1e-300), (40, 1e-14), (115, 1e-2)])
+    def test_gram_matches_to_the_bit(self, n, tol):
+        report = orthogonality_numeric(n, tol)
+        gram, points, history, change = _one_grid_gram(n, tol)
+        converged = history[-1] < tol / 10
+        assert np.array_equal(report.gram, gram)
+        assert report.points_used == points
+        assert report.refinement_history == tuple(history)
+        assert report.converged == converged
+        assert report.unconverged_entries == (() if converged else tuple(
+            (int(i), int(j)) for i, j in np.argwhere(change >= tol / 10)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 64, 115, 155, 200])
+    def test_contour_and_interval_match_to_the_bit(self, n, monkeypatch):
+        for k in sorted({0, 1, n, 2 * n - 1, 2 * n}):
+            (value, points, history, change), moment = _refined(
+                monkeypatch, contour_moment_numeric, n, k)
+            reference = _one_grid_contour(n, k)
+            assert (value, points, history, change) == reference
+            assert moment == complex(reference[0])
+        for i, j in sorted({(0, 0), (n // 2, n // 2), (1, n), (n - 1, n)}):
+            refined, result = _refined(monkeypatch, interval_form_numeric, n, i, j)
+            reference = _one_grid_interval(n, i, j)
+            assert refined == reference
+            assert result == reference[0]
