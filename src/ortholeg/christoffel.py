@@ -6,6 +6,9 @@ forms, which ``check_kn_forms`` certifies equal in exact arithmetic:
 - Christoffel-Darboux: K_n = (P_{n+1}' P_n - P_{n+1} P_n') / 2
 - closed form:         K_n = ((n+1)^2 P_n^2 - (x^2 - 1) P_n'^2) / (2(n+1))
 
+The exact sum form is (1/(n+1)) times ``legendre._square_sum(n)``, the one
+exact sum of (2k+1)/2 P_k^2, which the Legendre Christoffel-Darboux identity
+reads too; that sum carries each degree into the next by one square.
 Floating point evaluates the sum form only (``_pstar_kn``), which is
 positive on [-1, 1].
 
@@ -23,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .certificates import certifies
-from .legendre import _legendre_rows, legendre_all, legendre_exact
+from .legendre import _legendre_rows, _square_sum, legendre_all, legendre_exact
 from .ratpoly import LaurentPoly
 
 
@@ -77,19 +80,16 @@ def _pstar_pair_kn(n: int, i: int, j: int, x) -> tuple[np.ndarray, np.ndarray, n
 
 @lru_cache(maxsize=1)
 def kn_exact(n: int) -> LaurentPoly:
-    """Exact degree-2n polynomial K_n, certified against the closed form."""
-    sum_form = _kn_exact_sum(n)
+    """Exact degree-2n polynomial K_n, certified against the closed form.
+
+    The sum form is ``legendre._square_sum(n)`` / (n + 1); that sum is built
+    from the sum of degree n - 1 by one square, so a ledger going up in n
+    pays one square per degree.  Raises ValueError for n < 0.
+    """
+    sum_form = _square_sum(n) * Fraction(1, n + 1)
     if sum_form != _kn_exact_closed(n):
         raise ArithmeticError(f"K_{n} sum and closed forms disagree")
     return sum_form
-
-
-def _kn_exact_sum(n: int) -> LaurentPoly:
-    total = LaurentPoly.zero()
-    for k in range(n + 1):
-        p = legendre_exact(k)
-        total = total + Fraction(2 * k + 1, 2) * p * p
-    return total * Fraction(1, n + 1)
 
 
 def _kn_exact_closed(n: int) -> LaurentPoly:

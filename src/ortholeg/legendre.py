@@ -6,6 +6,12 @@ coefficients, the exact Laurent form of P_n((z + 1/z)/2) on the unit circle,
 certified checks of the recurrence identities, and the exact Legendre-basis
 coefficients of products P_i P_j.
 
+The exact sum sum_{k<=n} (2k+1)/2 P_k^2 = (n+1) K_n is written once, in
+``_square_sum``: the Christoffel-Darboux identity below and ``kn_exact`` in
+``christoffel`` both read it.  Its cache holds one degree, because both
+callers go up one degree at a time and each degree adds one square to the
+degree before.
+
 Normalization is the classical one, P_n(1) = 1, with base cases P_0 = 1 and
 P_1 = x; the orthonormalized family is P_n* = sqrt((2n+1)/2) P_n.
 """
@@ -22,7 +28,6 @@ from .certificates import Certificate, certificate
 from .ratpoly import JOUKOWSKI, LaurentPoly
 
 _X = LaurentPoly.monomial(1)
-_HALF = Fraction(1, 2)
 
 
 def _legendre_rows(n: int, x, rows=None):
@@ -119,6 +124,24 @@ def legendre_on_circle(n: int) -> LaurentPoly:
     return _next_degree(legendre_on_circle, JOUKOWSKI, n)
 
 
+@lru_cache(maxsize=1)
+def _square_sum(n: int) -> LaurentPoly:
+    """Exact sum_{k<=n} (2k+1)/2 P_k^2, that is (n+1) K_n, as a polynomial in x.
+
+    The sum of degree n - 1 plus one square.  The cache holds one degree:
+    its callers ask for the degrees in ascending order, so each degree is
+    built once from the last, and no earlier sum stays alive.  A cold call
+    recurses n levels, two interpreter frames each with the cache, so it
+    fits Python's default recursion limit of 1000 up to about n = 490:
+    ``cli.MAX_N_EXACT`` = 250 does, and a higher cap must revisit this.
+    """
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    total = _square_sum(n - 1) if n else LaurentPoly.zero()
+    p = legendre_exact(n)
+    return total + Fraction(2 * n + 1, 2) * p * p
+
+
 def check_legendre_identities(n_max: int) -> list[Certificate]:
     """Certify the five classical identities in exact polynomial arithmetic.
 
@@ -139,10 +162,8 @@ def check_legendre_identities(n_max: int) -> list[Certificate]:
     x2m1 = _X * _X - LaurentPoly.one()
     p = [legendre_exact(k) for k in range(n_max + 2)]
     dp = [q.diff() for q in p]
-    weighted_square_sum = _HALF * p[0] * p[0]
     for n in range(1, n_max + 1):
-        weighted_square_sum = weighted_square_sum + Fraction(2 * n + 1, 2) * p[n] * p[n]
-        cd = weighted_square_sum - Fraction(n + 1, 2) * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
+        cd = _square_sum(n) - Fraction(n + 1, 2) * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
         rec = (n + 1) * p[n + 1] - (2 * n + 1) * _X * p[n] + n * p[n - 1]
         drec = (n + 1) * dp[n + 1] - (2 * n + 1) * (p[n] + _X * dp[n]) + n * dp[n - 1]
         christ = x2m1 * dp[n] - n * (_X * p[n] - p[n - 1])

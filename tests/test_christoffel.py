@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from ortholeg import cli, legendre
 from ortholeg.christoffel import (
     _pstar_kn,
     _pstar_pair_kn,
@@ -175,6 +176,33 @@ def test_exact_forms_agree_to_forty():
         assert check_kn_forms(n).passed
 
 
+def _reference_kn_sum(n):
+    # the sum form rebuilt from nothing at every degree
+    total = LaurentPoly.zero()
+    for k in range(n + 1):
+        p = legendre.legendre_exact(k)
+        total = total + F(2 * k + 1, 2) * p * p
+    return total * F(1, n + 1)
+
+
+def test_sum_form_is_the_sum_rebuilt_from_nothing():
+    legendre._square_sum.cache_clear()
+    kn_exact.cache_clear()
+    # out of order first, so the one-degree caches miss
+    for n in (40, 3, 41, 0, *range(41)):
+        got, want = kn_exact(n), _reference_kn_sum(n)
+        assert got == want, n
+        assert repr(got) == repr(want), n
+        assert list(got.terms()) == list(want.terms()), n
+
+
+def test_forms_agree_at_the_cap_from_cold_caches():
+    # the deepest cold recursion of the sum that the CLI can ask for
+    for cache in (legendre._square_sum, legendre.legendre_exact, kn_exact):
+        cache.cache_clear()
+    assert check_kn_forms(cli.MAX_N_EXACT).passed
+
+
 def test_positive_on_interval():
     xs = RNG.uniform(-1, 1, 1000)
     for n in range(51):
@@ -185,6 +213,10 @@ def test_positive_on_interval():
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         _pstar_kn(-1, 0.5)
+    with pytest.raises(ValueError):
+        kn_exact(-1)
+    with pytest.raises(ValueError):
+        check_kn_forms(-1)
 
 
 class TestQBasis:

@@ -17,6 +17,7 @@ from ortholeg.ratpoly import LaurentPoly
 def _clear_caches():
     factorization.factor_pair.cache_clear()
     christoffel.kn_exact.cache_clear()
+    legendre._square_sum.cache_clear()
     partial_fractions.moments_table.cache_clear()
 
 
@@ -232,6 +233,16 @@ def test_tampered_legendre_polynomial_fails_its_identities(tampered_p3):
         *(("legendre-derivative-relation", n) for n in range(3, 6)),
         *(("legendre-derivative-difference", n) for n in range(3, 6)),
     }
+
+
+def test_tampered_legendre_polynomial_reaches_every_kn_form(tampered_p3):
+    # the Legendre identities and K_n read one sum of (2k+1)/2 P_k^2, so the
+    # tampered P_3 reaches K_n from n = 3 on, whether its caches start cold or warm
+    for _ in range(2):
+        failed = {(c.identity, c.n) for c in identity_ledger(5)
+                  if not c.passed and not c.identity.startswith("legendre-")}
+        assert failed == {(identity, n) for identity in ("christoffel-forms-agree", "fejer-riesz")
+                          for n in range(3, 6)}
 
 
 def test_tampered_legendre_polynomial_exits_one(tampered_p3, tmp_path, capsys):

@@ -17,7 +17,7 @@ from ortholeg.partial_fractions import (
     moments_table,
     orthogonality_exact,
 )
-from ortholeg import christoffel, factorization, partial_fractions, ratpoly
+from ortholeg import christoffel, factorization, legendre, partial_fractions, ratpoly
 from ortholeg.certificates import certifies
 from ortholeg.factorization import FactorPair, fn_from_definition
 from ortholeg.ledger import identity_ledger
@@ -210,10 +210,15 @@ def test_per_degree_caches_hold_the_degree_in_hand():
               partial_fractions.build_abcd, partial_fractions.moments_table)
     for cache in caches:
         cache.cache_clear()
+    legendre._square_sum.cache_clear()
     identity_ledger(12)
     for cache in caches:
         info = cache.cache_info()
         assert (info.misses, info.currsize) == (12, 1), cache.__name__
+    # the sum of (2k+1)/2 P_k^2, degrees 0..12: built at most twice per
+    # degree, never n + 1 squares per degree
+    info = legendre._square_sum.cache_info()
+    assert info.currsize == 1 and info.misses <= 2 * 13
 
 
 # -- recurrence transfer ---------------------------------------------------------
