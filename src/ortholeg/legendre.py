@@ -8,9 +8,9 @@ coefficients of products P_i P_j.
 
 The exact sum sum_{k<=n} (2k+1)/2 P_k^2 = (n+1) K_n is written once, in
 ``_square_sum``: the Christoffel-Darboux identity below and ``kn_exact`` in
-``christoffel`` both read it.  Its cache holds one degree, because both
-callers go up one degree at a time and each degree adds one square to the
-degree before.
+``christoffel`` both read it.  Its cache holds one degree, because the ledger
+asks both callers for degree n before it goes on to n + 1, and each degree
+adds one square to the degree before.
 
 Normalization is the classical one, P_n(1) = 1, with base cases P_0 = 1 and
 P_1 = x; the orthonormalized family is P_n* = sqrt((2n+1)/2) P_n.
@@ -129,11 +129,12 @@ def _square_sum(n: int) -> LaurentPoly:
     """Exact sum_{k<=n} (2k+1)/2 P_k^2, that is (n+1) K_n, as a polynomial in x.
 
     The sum of degree n - 1 plus one square.  The cache holds one degree:
-    its callers ask for the degrees in ascending order, so each degree is
-    built once from the last, and no earlier sum stays alive.  A cold call
-    recurses n levels, two interpreter frames each with the cache, so it
-    fits Python's default recursion limit of 1000 up to about n = 490:
-    ``cli.MAX_N_EXACT`` = 250 does, and a higher cap must revisit this.
+    the ledger runs both callers on degree n before degree n + 1, so each
+    degree is built once per ledger, from the last, and no earlier sum stays
+    alive.  A cold call recurses n levels, two interpreter frames each with
+    the cache, so it fits Python's default recursion limit of 1000 up to
+    about n = 490: ``cli.MAX_N_EXACT`` = 250 does, and a higher cap must
+    revisit this.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
@@ -142,11 +143,11 @@ def _square_sum(n: int) -> LaurentPoly:
     return total + Fraction(2 * n + 1, 2) * p * p
 
 
-def check_legendre_identities(n_max: int) -> list[Certificate]:
-    """Certify the five classical identities in exact polynomial arithmetic.
+def check_legendre_identities(n: int) -> list[Certificate]:
+    """Certify the five classical identities at degree n >= 1 in exact polynomial arithmetic.
 
-    For every 1 <= n <= n_max the residual of each identity is computed as an
-    exact polynomial and certified to be identically zero:
+    The residual of each identity is computed as an exact polynomial and
+    certified to be identically zero:
 
     - ``christoffel-darboux``: sum_{k<=n} (2k+1)/2 P_k^2
       = (n+1)/2 (P_{n+1}' P_n - P_{n+1} P_n')  (orthonormalized squares on
@@ -156,24 +157,21 @@ def check_legendre_identities(n_max: int) -> list[Certificate]:
     - ``derivative-relation``: (x^2 - 1) P_n' = n (x P_n - P_{n-1})
     - ``derivative-difference``: (2n+1) P_n = P_{n+1}' - P_{n-1}'
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    certs: list[Certificate] = []
+    if n < 1:
+        raise ValueError("n must be at least 1")
     x2m1 = _X * _X - LaurentPoly.one()
-    p = [legendre_exact(k) for k in range(n_max + 2)]
-    dp = [q.diff() for q in p]
-    for n in range(1, n_max + 1):
-        cd = _square_sum(n) - Fraction(n + 1, 2) * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
-        rec = (n + 1) * p[n + 1] - (2 * n + 1) * _X * p[n] + n * p[n - 1]
-        drec = (n + 1) * dp[n + 1] - (2 * n + 1) * (p[n] + _X * dp[n]) + n * dp[n - 1]
-        christ = x2m1 * dp[n] - n * (_X * p[n] - p[n - 1])
-        ichrist = (2 * n + 1) * p[n] - (dp[n + 1] - dp[n - 1])
-        certs.append(certificate("legendre-christoffel-darboux", n, cd))
-        certs.append(certificate("legendre-three-term", n, rec))
-        certs.append(certificate("legendre-three-term-derivative", n, drec))
-        certs.append(certificate("legendre-derivative-relation", n, christ))
-        certs.append(certificate("legendre-derivative-difference", n, ichrist))
-    return certs
+    p = {k: legendre_exact(k) for k in (n - 1, n, n + 1)}
+    dp = {k: q.diff() for k, q in p.items()}
+    cd = _square_sum(n) - Fraction(n + 1, 2) * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
+    rec = (n + 1) * p[n + 1] - (2 * n + 1) * _X * p[n] + n * p[n - 1]
+    drec = (n + 1) * dp[n + 1] - (2 * n + 1) * (p[n] + _X * dp[n]) + n * dp[n - 1]
+    christ = x2m1 * dp[n] - n * (_X * p[n] - p[n - 1])
+    ichrist = (2 * n + 1) * p[n] - (dp[n + 1] - dp[n - 1])
+    return [certificate("legendre-christoffel-darboux", n, cd),
+            certificate("legendre-three-term", n, rec),
+            certificate("legendre-three-term-derivative", n, drec),
+            certificate("legendre-derivative-relation", n, christ),
+            certificate("legendre-derivative-difference", n, ichrist)]
 
 
 @lru_cache(maxsize=None)

@@ -82,11 +82,11 @@ def build_abcd(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]
 
 
 class _LastResult:
-    """One computed result, reused only for the very objects it was computed from.
+    """One computed verdict, reused only for the very objects it was computed from.
 
-    The checks of one degree share a verdict or a table.  Keying it on the
-    identity of the objects, not on the degree, means that a rebuilt or
-    substituted construction is always judged afresh.
+    The pfd checks of one degree share the verdict of the recurrence
+    transfer.  Keying it on the identity of the objects, not on the degree,
+    means that a rebuilt or substituted construction is always judged afresh.
     """
 
     def __init__(self):
@@ -227,24 +227,22 @@ def check_moments(n: int) -> list[str]:
     return [f"unexpected moments at k={bad}"] if bad else []
 
 
-_nonzero = _LastResult()
-
-
 def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
     """Exact arcsine/Christoffel inner product of P_i* and P_j*, which is delta_ij.
 
     Sums the Adams coefficients a_k of P_i P_j against the nonzero exact
-    moments and scales by sqrt((2i+1)(2j+1))/2.  Every moment with k >= 1 vanishes, so
-    only 2 a_0 = 2 delta_ij/(2i+1) survives: the sum is zero (i != j) or the
+    moments and scales by sqrt((2i+1)(2j+1))/2.  Only the k of the Adams
+    support, |i - j| <= k <= i + j with i + j - k even, are read: every
+    other a_k is zero.  Every moment with k >= 1 vanishes, so only
+    2 a_0 = 2 delta_ij/(2i+1) survives: the sum is zero (i != j) or the
     square root is exact (i == j).  A nonzero sum times an irrational root
     raises ArithmeticError.
     """
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i, j <= n")
     moments = moments_table(n)
-    nonzero = _nonzero.get((moments,), lambda: [(k, m) for k, m in enumerate(moments) if m])
     expansion = legendre_product_expand(i, j)
-    s = sum(expansion[k] * m for k, m in nonzero if k < len(expansion) and expansion[k])
+    s = sum(expansion[k] * moments[k] for k in range(abs(i - j), i + j + 1, 2) if moments[k])
     if not s:
         return Fraction(0)
     square = (2 * i + 1) * (2 * j + 1)
@@ -256,11 +254,20 @@ def orthogonality_exact(n: int, i: int, j: int) -> Fraction:
 
 @certifies("weighted-orthogonality")
 def check_orthogonality(n: int) -> list[str]:
-    """Certify the full (n+1) x (n+1) exact Gram matrix is the identity."""
+    """Certify the full (n+1) x (n+1) exact Gram matrix is the identity.
+
+    By Adams' formula the coefficient a_k of P_i P_j is nonzero exactly when
+    |i - j| <= k <= i + j and i + j - k is even.  A pair (i, j) whose
+    support holds no nonzero moment therefore has the inner product 0, which
+    is what the identity asks of every i != j, so only the diagonal pairs
+    and the pairs whose support meets a nonzero moment are computed.  For
+    the moments 2 delta_{k0} that leaves the n + 1 diagonal pairs.
+    """
+    nonzero = [k for k, m in enumerate(moments_table(n)) if m]
     bad = []
     for i in range(n + 1):
         for j in range(i, n + 1):
-            value = orthogonality_exact(n, i, j)
-            if value != (1 if i == j else 0):
-                bad.append((i, j))
+            if i == j or any(j - i <= k <= i + j and (i + j - k) % 2 == 0 for k in nonzero):
+                if orthogonality_exact(n, i, j) != (1 if i == j else 0):
+                    bad.append((i, j))
     return [f"unexpected inner products at {bad}"] if bad else []

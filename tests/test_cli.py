@@ -25,6 +25,8 @@ GOLDEN_SHA256 = {
         "dca2fdac554f4a42e1ccc0e793262f8c3d5b691ee38be535a8d7ec0925eaa876",
     ("verify-identities", "--n-max", "60"):
         "04a75aa82b6055f4a406cb4a2f2ca5a5d3c6c2ca5a28e83a7976af665dcf3f81",
+    ("verify-identities", "--n-max", "100"):  # the cli.MAX_N_MAX artifact
+        "016f2bab83f45f7088419494a616042c01a7220d10fa7027a1d4a735a6ebbb47",
     ("factor", "--n", "6"):
         "2b129188d6ac0b2ef8648455a19c1e4e8174892c841a8068a3b236d578c2ca27",
     ("moments", "--n", "8"):

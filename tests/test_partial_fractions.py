@@ -215,10 +215,22 @@ def test_per_degree_caches_hold_the_degree_in_hand():
     for cache in caches:
         info = cache.cache_info()
         assert (info.misses, info.currsize) == (12, 1), cache.__name__
-    # the sum of (2k+1)/2 P_k^2, degrees 0..12: built at most twice per
-    # degree, never n + 1 squares per degree
+    # the sum of (2k+1)/2 P_k^2, degrees 0..12: the Legendre identities and
+    # K_n of a degree read it in turn, so each degree is built exactly once
     info = legendre._square_sum.cache_info()
-    assert info.currsize == 1 and info.misses <= 2 * 13
+    assert (info.misses, info.currsize) == (13, 1)
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_orthogonality_expands_only_the_diagonal_pairs(n, monkeypatch):
+    # against the moments 2 delta_{k0}, Adams' support of P_i P_j with i != j
+    # holds no nonzero moment, so only the n + 1 diagonal products are expanded
+    pairs = []
+    original = partial_fractions.legendre_product_expand
+    monkeypatch.setattr(partial_fractions, "legendre_product_expand",
+                        lambda i, j: pairs.append((i, j)) or original(i, j))
+    assert check_orthogonality(n).passed
+    assert pairs == [(i, i) for i in range(n + 1)]
 
 
 # -- recurrence transfer ---------------------------------------------------------
