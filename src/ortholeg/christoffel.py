@@ -1,10 +1,18 @@
 """The normalized reciprocal Christoffel function K_n and the weighted basis Q_j.
 
-K_n(x) = (1/(n+1)) sum_{k=0}^n (P_k*(x))^2 admits two further equivalent
-forms, which ``check_kn_forms`` certifies equal in exact arithmetic:
+K_n(x) = (1/(n+1)) sum_{k=0}^n (P_k*(x))^2.  Exactly, K_n is built on the
+unit circle, as K_n(J(z)) with J(z) = (z + 1/z)/2, like every exact Legendre
+object (the ``legendre`` module docstring says why nothing is lost).  With
+P_k for P_k(J), theta = z d/dz and S = (z - 1/z)/2, its three forms are
 
-- Christoffel-Darboux: K_n = (P_{n+1}' P_n - P_{n+1} P_n') / 2
-- closed form:         K_n = ((n+1)^2 P_n^2 - (x^2 - 1) P_n'^2) / (2(n+1))
+- sum:                 K_n(J) = (1/(n+1)) sum_{k<=n} (2k+1)/2 P_k^2
+- Christoffel-Darboux: 2 S K_n(J) = theta P_{n+1} P_n - P_{n+1} theta P_n
+- closed form:         K_n(J) = ((n+1)^2 P_n^2 - (theta P_n)^2) / (2(n+1))
+
+the circle images of K_n = (P_{n+1}' P_n - P_{n+1} P_n') / 2 and
+K_n = ((n+1)^2 P_n^2 - (x^2 - 1) P_n'^2) / (2(n+1)), by
+(x^2 - 1) d/dx = S theta.  ``kn_exact`` certifies the closed form and
+``check_kn_forms`` the Christoffel-Darboux form.
 
 The exact sum form is (1/(n+1)) times ``legendre._square_sum(n)``, the one
 exact sum of (2k+1)/2 P_k^2, which the Legendre Christoffel-Darboux identity
@@ -26,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .certificates import certifies
-from .legendre import _legendre_rows, _square_sum, legendre_all, legendre_exact
+from .legendre import _S, _legendre_rows, _square_sum, legendre_all, legendre_on_circle
 from .ratpoly import LaurentPoly
 
 
@@ -80,7 +88,7 @@ def _pstar_pair_kn(n: int, i: int, j: int, x) -> tuple[np.ndarray, np.ndarray, n
 
 @lru_cache(maxsize=1)
 def kn_exact(n: int) -> LaurentPoly:
-    """Exact degree-2n polynomial K_n, certified against the closed form.
+    """Exact K_n(J(z)), a Laurent polynomial of degree 2n in z, certified against the closed form.
 
     The sum form is ``legendre._square_sum(n)`` / (n + 1); that sum is built
     from the sum of degree n - 1 by one square, so a ledger going up in n
@@ -93,22 +101,22 @@ def kn_exact(n: int) -> LaurentPoly:
 
 
 def _kn_exact_closed(n: int) -> LaurentPoly:
-    p = legendre_exact(n)
-    dp = p.diff()
-    x2m1 = LaurentPoly({2: 1, 0: -1})
-    return ((n + 1) ** 2 * p * p - x2m1 * dp * dp) * Fraction(1, 2 * (n + 1))
+    p = legendre_on_circle(n)
+    dp = p.diff().shift(1)
+    return ((n + 1) ** 2 * (p * p) - dp * dp) * Fraction(1, 2 * (n + 1))
 
 
 def _kn_exact_cd(n: int) -> LaurentPoly:
-    p = legendre_exact(n)
-    p1 = legendre_exact(n + 1)
-    return Fraction(1, 2) * (p1.diff() * p - p1 * p.diff())
+    # 2 S K_n(J)
+    p = legendre_on_circle(n)
+    p1 = legendre_on_circle(n + 1)
+    return p1.diff().shift(1) * p - p1 * p.diff().shift(1)
 
 
 @certifies("christoffel-forms-agree")
 def check_kn_forms(n: int) -> LaurentPoly:
-    """Certify that the sum, Christoffel-Darboux and closed forms of K_n agree exactly."""
-    return kn_exact(n) - _kn_exact_cd(n)
+    """Certify that the sum, Christoffel-Darboux and closed forms of K_n(J) agree exactly."""
+    return 2 * _S * kn_exact(n) - _kn_exact_cd(n)
 
 
 def q_basis_all(n: int, x) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from .certificates import certifies
 from .christoffel import kn_exact
 from .legendre import legendre_on_circle
-from .ratpoly import JOUKOWSKI, LaurentPoly, substitute
+from .ratpoly import LaurentPoly
 
 
 def fn_from_definition(n: int) -> LaurentPoly:
@@ -166,10 +166,13 @@ def check_reversal(n: int) -> list[str]:
 
 @certifies("fejer-riesz")
 def check_fejer_riesz(n: int) -> LaurentPoly:
-    """Certify K_n(J(z)) = F_n(z) F_n(1/z) / (2(n+1)) exactly."""
+    """Certify K_n(J(z)) = F_n(z) F_n(1/z) / (2(n+1)) exactly.
+
+    ``kn_exact`` builds K_n on the circle, as K_n(J(z)), so the two sides
+    are compared as they stand, with no change of variable.
+    """
     f = fn_from_definition(n)
-    kj = substitute(kn_exact(n), JOUKOWSKI)
-    return kj - Fraction(1, 2 * (n + 1)) * f * f.recip()
+    return kn_exact(n) - Fraction(1, 2 * (n + 1)) * f * f.recip()
 
 
 @certifies("factor-recurrence-form")

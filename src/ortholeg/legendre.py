@@ -1,16 +1,26 @@
 """Classical Legendre polynomials.
 
 Floating evaluation by one forward three-term recurrence (``legendre_eval``
-for P_n alone, ``legendre_all`` for the block P_0..P_n), exact monomial
-coefficients, the exact Laurent form of P_n((z + 1/z)/2) on the unit circle,
-certified checks of the recurrence identities, and the exact Legendre-basis
-coefficients of products P_i P_j.
+for P_n alone, ``legendre_all`` for the block P_0..P_n), the exact Laurent
+form of P_n(J(z)), J(z) = (z + 1/z)/2, on the unit circle, certified checks
+of the recurrence identities, and the exact Legendre-basis coefficients of
+products P_i P_j.
 
-The exact sum sum_{k<=n} (2k+1)/2 P_k^2 = (n+1) K_n is written once, in
-``_square_sum``: the Christoffel-Darboux identity below and ``kn_exact`` in
-``christoffel`` both read it.  Its cache holds one degree, because the ledger
-asks both callers for degree n before it goes on to n + 1, and each degree
-adds one square to the degree before.
+Every exact Legendre object lives on the circle, as a Laurent polynomial in
+z.  That loses nothing: x -> J(z) is an injective ring map from Q[x] into
+Q[z, 1/z], whose image is the Laurent polynomials symmetric under z -> 1/z.
+With theta = z d/dz and S = (z - 1/z)/2 = theta J, the chain rule gives
+theta P(J) = S P'(J), and J^2 - 1 = S^2, so (x^2 - 1) d/dx becomes S theta.
+An identity with a derivative is multiplied through by S, which is nonzero
+in the integral domain Q[z, 1/z]; each circle residual is then R(J) or
+S R(J) for the residual R in x, and is zero exactly when R is.  theta is
+written ``p.diff().shift(1)``.
+
+The exact sum sum_{k<=n} (2k+1)/2 P_k(J)^2 = (n+1) K_n(J) is written once,
+in ``_square_sum``: the Christoffel-Darboux identity below and ``kn_exact``
+in ``christoffel`` both read it.  Its cache holds one degree, because the
+ledger asks both callers for degree n before it goes on to n + 1, and each
+degree adds one square to the degree before.
 
 Normalization is the classical one, P_n(1) = 1, with base cases P_0 = 1 and
 P_1 = x; the orthonormalized family is P_n* = sqrt((2n+1)/2) P_n.
@@ -27,7 +37,8 @@ import numpy as np
 from .certificates import Certificate, certificate
 from .ratpoly import JOUKOWSKI, LaurentPoly
 
-_X = LaurentPoly.monomial(1)
+#: S = (z - 1/z)/2 = theta J, which carries (x^2 - 1) d/dx to the circle as S theta.
+_S = JOUKOWSKI.diff().shift(1)
 
 
 def _legendre_rows(n: int, x, rows=None):
@@ -92,41 +103,26 @@ def legendre_all(n_max: int, x, rows=None):
     return values
 
 
-def _next_degree(cached, x: LaurentPoly, n: int) -> LaurentPoly:
-    # n P_n = (2n-1) x P_{n-1} - (n-1) P_{n-2}; the lower degrees are filled
-    # bottom-up first, so a cold call recurses one level instead of n
-    for m in range(2, n - 1):
-        cached(m)
-    return ((2 * n - 1) * x * cached(n - 1) - (n - 1) * cached(n - 2)) * Fraction(1, n)
-
-
-@lru_cache(maxsize=None)
-def legendre_exact(n: int) -> LaurentPoly:
-    """Exact monomial-basis coefficients of P_n, as a polynomial in x."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if n <= 1:
-        return (LaurentPoly.one(), _X)[n]
-    return _next_degree(legendre_exact, _X, n)
-
-
 @lru_cache(maxsize=None)
 def legendre_on_circle(n: int) -> LaurentPoly:
-    """Exact Laurent polynomial P_n(J(z)) with J(z) = (z + 1/z)/2.
+    """Exact Laurent polynomial P_n(J(z)) with J(z) = (z + 1/z)/2, from its closed coefficients.
 
-    Symmetric under z -> 1/z, supported on exponents {-n, ..., n} in steps
-    of two.
+    P_n(cos t) = sum_j a_j a_{n-j} cos((n - 2j) t) with a_j = C(2j, j) / 4^j,
+    so P_n(J) = sum_j C(2j, j) C(2n-2j, n-j) / 4^n z^{n-2j}: symmetric under
+    z -> 1/z, supported on exponents {-n, ..., n} in steps of two.  No
+    recurrence builds it, so the ``legendre-three-term`` certificate and the
+    recurrence transfer of ``partial_fractions`` check a construction that
+    does not use the recurrence they check.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if n <= 1:
-        return (LaurentPoly.one(), JOUKOWSKI)[n]
-    return _next_degree(legendre_on_circle, JOUKOWSKI, n)
+    central = [math.comb(2 * j, j) for j in range(n + 1)]
+    return LaurentPoly({n - 2 * j: central[j] * central[n - j] for j in range(n + 1)}) * Fraction(1, 4**n)
 
 
 @lru_cache(maxsize=1)
 def _square_sum(n: int) -> LaurentPoly:
-    """Exact sum_{k<=n} (2k+1)/2 P_k^2, that is (n+1) K_n, as a polynomial in x.
+    """Exact sum_{k<=n} (2k+1)/2 P_k(J)^2, that is (n+1) K_n(J), on the circle.
 
     The sum of degree n - 1 plus one square.  The cache holds one degree:
     the ledger runs both callers on degree n before degree n + 1, so each
@@ -139,34 +135,40 @@ def _square_sum(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("degree must be non-negative")
     total = _square_sum(n - 1) if n else LaurentPoly.zero()
-    p = legendre_exact(n)
-    return total + Fraction(2 * n + 1, 2) * p * p
+    p = legendre_on_circle(n)
+    return total + Fraction(2 * n + 1, 2) * (p * p)
 
 
 def check_legendre_identities(n: int) -> list[Certificate]:
-    """Certify the five classical identities at degree n >= 1 in exact polynomial arithmetic.
+    """Certify the five classical identities at degree n >= 1 in exact arithmetic on the circle.
 
-    The residual of each identity is computed as an exact polynomial and
-    certified to be identically zero:
+    Each residual is an exact Laurent polynomial in z, certified to be
+    identically zero.  With P_k for P_k(J), theta = z d/dz and
+    S = (z - 1/z)/2, an identity with a derivative is its x form multiplied
+    through by S, by (x^2 - 1) d/dx = S theta (module docstring):
 
-    - ``christoffel-darboux``: sum_{k<=n} (2k+1)/2 P_k^2
-      = (n+1)/2 (P_{n+1}' P_n - P_{n+1} P_n')  (orthonormalized squares on
-      the left; the unnormalized form already fails at n = 0)
-    - ``three-term``: (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
-    - ``three-term-derivative``: (n+1) P_{n+1}' = (2n+1)(P_n + x P_n') - n P_{n-1}'
-    - ``derivative-relation``: (x^2 - 1) P_n' = n (x P_n - P_{n-1})
-    - ``derivative-difference``: (2n+1) P_n = P_{n+1}' - P_{n-1}'
+    - ``christoffel-darboux``: S sum_{k<=n} (2k+1)/2 P_k^2
+      = (n+1)/2 (theta P_{n+1} P_n - P_{n+1} theta P_n), from
+      sum = (n+1)/2 (P_{n+1}' P_n - P_{n+1} P_n')  (orthonormalized squares
+      on the left; the unnormalized form already fails at n = 0)
+    - ``three-term``: (n+1) P_{n+1} = (2n+1) J P_n - n P_{n-1}
+    - ``three-term-derivative``: (n+1) theta P_{n+1}
+      = (2n+1)(S P_n + J theta P_n) - n theta P_{n-1}, from
+      (n+1) P_{n+1}' = (2n+1)(P_n + x P_n') - n P_{n-1}'
+    - ``derivative-relation``: S theta P_n = n (J P_n - P_{n-1}), from
+      (x^2 - 1) P_n' = n (x P_n - P_{n-1})
+    - ``derivative-difference``: (2n+1) S P_n = theta P_{n+1} - theta P_{n-1},
+      from (2n+1) P_n = P_{n+1}' - P_{n-1}'
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    x2m1 = _X * _X - LaurentPoly.one()
-    p = {k: legendre_exact(k) for k in (n - 1, n, n + 1)}
-    dp = {k: q.diff() for k, q in p.items()}
-    cd = _square_sum(n) - Fraction(n + 1, 2) * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
-    rec = (n + 1) * p[n + 1] - (2 * n + 1) * _X * p[n] + n * p[n - 1]
-    drec = (n + 1) * dp[n + 1] - (2 * n + 1) * (p[n] + _X * dp[n]) + n * dp[n - 1]
-    christ = x2m1 * dp[n] - n * (_X * p[n] - p[n - 1])
-    ichrist = (2 * n + 1) * p[n] - (dp[n + 1] - dp[n - 1])
+    p = {k: legendre_on_circle(k) for k in (n - 1, n, n + 1)}
+    dp = {k: q.diff().shift(1) for k, q in p.items()}
+    cd = _S * _square_sum(n) - Fraction(n + 1, 2) * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
+    rec = (n + 1) * p[n + 1] - (2 * n + 1) * JOUKOWSKI * p[n] + n * p[n - 1]
+    drec = (n + 1) * dp[n + 1] - (2 * n + 1) * (_S * p[n] + JOUKOWSKI * dp[n]) + n * dp[n - 1]
+    christ = _S * dp[n] - n * (JOUKOWSKI * p[n] - p[n - 1])
+    ichrist = (2 * n + 1) * _S * p[n] - (dp[n + 1] - dp[n - 1])
     return [certificate("legendre-christoffel-darboux", n, cd),
             certificate("legendre-three-term", n, rec),
             certificate("legendre-three-term-derivative", n, drec),

@@ -86,7 +86,7 @@ class _LastResult:
 
     The pfd checks of one degree share the verdict of the recurrence
     transfer.  Keying it on the identity of the objects, not on the degree,
-    means that a rebuilt or substituted construction is always judged afresh.
+    means that a rebuilt or replaced construction is always judged afresh.
     """
 
     def __init__(self):
@@ -261,12 +261,15 @@ def check_orthogonality(n: int) -> list[str]:
     support holds no nonzero moment therefore has the inner product 0, which
     is what the identity asks of every i != j, so only the diagonal pairs
     and the pairs whose support meets a nonzero moment are computed.  For
-    the moments 2 delta_{k0} that leaves the n + 1 diagonal pairs.
+    the moments 2 delta_{k0} that leaves the n + 1 diagonal pairs.  As the
+    support asks j - i <= k, j runs only up to i plus the largest nonzero
+    k, so a table with few nonzero moments visits O(n) pairs.
     """
     nonzero = [k for k, m in enumerate(moments_table(n)) if m]
+    reach = max(nonzero, default=0)
     bad = []
     for i in range(n + 1):
-        for j in range(i, n + 1):
+        for j in range(i, min(n, i + reach) + 1):
             if i == j or any(j - i <= k <= i + j and (i + j - k) % 2 == 0 for k in nonzero):
                 if orthogonality_exact(n, i, j) != (1 if i == j else 0):
                     bad.append((i, j))

@@ -6,10 +6,11 @@ zero".  A ``LaurentPoly`` stores integer numerators over one common
 denominator, so every ring operation is integer arithmetic, and a product of
 two polynomials is one big-integer multiply by Kronecker substitution
 (Schönhage, EUROCAM 1982; Harvey, J. Symbolic Comput. 2009).  Short
-operands take a shorter path: when one operand has at most two terms (J(z),
-z, x^2 - 1, a monomial), packing both would cost more than the product, so
-the other operand's numerators are multiplied term by term instead.  The
-operand's length picks the path; no caller chooses it.
+operands take a shorter path: when one operand has at most two terms
+(J(z) = (z + 1/z)/2, S(z) = (z - 1/z)/2, z, a monomial), packing both would
+cost more than the product, so the other operand's numerators are multiplied
+term by term instead.  The operand's length picks the path; no caller
+chooses it.
 ``satisfies_legendre_recurrence`` checks the three-term recurrence of a
 sequence with J(z) in one integer pass per member, with no product at all.
 Coefficients are read back as ``fractions.Fraction``.  There is no
@@ -231,7 +232,11 @@ def _pack(num: dict[int, int], low: int, step: int, width: int) -> tuple[int, in
 
 
 def _kronecker(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The numerators of the product of two numerator maps, by one integer multiply."""
+    """The numerators of the product of two numerator maps, by one integer multiply.
+
+    A square ``p * p`` packs its one operand once: CPython squares an integer
+    about twice as fast as it multiplies two different ones.
+    """
     if not a or not b:
         return {}
     low_a, low_b = next(iter(a)), next(iter(b))
@@ -239,7 +244,7 @@ def _kronecker(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
     width = (bound.bit_length() + 2 + 7) // 8
     packed_a, count_a = _pack(a, low_a, step, width)
-    packed_b, count_b = _pack(b, low_b, step, width)
+    packed_b, count_b = (packed_a, count_a) if b is a else _pack(b, low_b, step, width)
     count = count_a + count_b - 1
     size = count * width
     raw = (packed_a * packed_b + _half_slots(count, width)).to_bytes(size, "little")
@@ -274,13 +279,3 @@ def satisfies_legendre_recurrence(members: Sequence[LaurentPoly]) -> bool:
         if any(acc.values()):
             return False
     return True
-
-
-def substitute(outer: LaurentPoly, inner: LaurentPoly) -> LaurentPoly:
-    """Exact composition outer(inner(z)) for a polynomial ``outer`` (min_exp >= 0)."""
-    if outer.min_exp < 0:
-        raise ValueError("negative exponents present; not a polynomial")
-    result = LaurentPoly.zero()
-    for e in range(outer.degree or 0, -1, -1):
-        result = result * inner + LaurentPoly({0: outer.coeff(e)})
-    return result

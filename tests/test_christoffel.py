@@ -17,6 +17,7 @@ from ortholeg.christoffel import (
 )
 from ortholeg.legendre import legendre_all, legendre_eval
 from ortholeg.ratpoly import LaurentPoly
+from test_legendre import legendre_value
 
 RNG = np.random.default_rng(1357)
 
@@ -168,7 +169,8 @@ def test_value_at_one():
 
 def test_exact_low_degrees():
     assert kn_exact(0) == LaurentPoly({0: F(1, 2)})
-    assert kn_exact(1) == LaurentPoly({0: F(1, 4), 2: F(3, 4)})
+    # (1 + 3x^2)/4 with x = (z + 1/z)/2
+    assert kn_exact(1) == LaurentPoly({-2: F(3, 16), 0: F(5, 8), 2: F(3, 16)})
 
 
 def test_exact_forms_agree_to_forty():
@@ -180,7 +182,7 @@ def _reference_kn_sum(n):
     # the sum form rebuilt from nothing at every degree
     total = LaurentPoly.zero()
     for k in range(n + 1):
-        p = legendre.legendre_exact(k)
+        p = legendre.legendre_on_circle(k)
         total = total + F(2 * k + 1, 2) * p * p
     return total * F(1, n + 1)
 
@@ -196,9 +198,19 @@ def test_sum_form_is_the_sum_rebuilt_from_nothing():
         assert list(got.terms()) == list(want.terms()), n
 
 
+def test_exact_form_is_k_n_at_the_joukowski_image():
+    # K_n(J(z)) = sum_k (2k+1)/2 P_k(x)^2 / (n+1) at x = J(z), by the oracle, at rational z
+    for n in (0, 1, 4, 17):
+        kn = kn_exact(n)
+        for z in (F(7, 10), F(-3, 2), F(5)):
+            x = (z + 1 / z) / 2
+            want = sum((F(2 * k + 1, 2) * legendre_value(k, x) ** 2 for k in range(n + 1)), F(0))
+            assert sum((c * z**e for e, c in kn.terms()), F(0)) == want / (n + 1), (n, z)
+
+
 def test_forms_agree_at_the_cap_from_cold_caches():
     # the deepest cold recursion of the sum that the CLI can ask for
-    for cache in (legendre._square_sum, legendre.legendre_exact, kn_exact):
+    for cache in (legendre._square_sum, legendre.legendre_on_circle, kn_exact):
         cache.cache_clear()
     assert check_kn_forms(cli.MAX_N_EXACT).passed
 

@@ -214,26 +214,59 @@ def test_each_support_fact_is_reported(monkeypatch, clean_caches):
 # -- a tampered Legendre polynomial fails each identity that reads it ----------
 
 
+def _tamper_p3(monkeypatch, term):
+    # P_3(J) plus ``term``; P_4 and P_5 come from their closed coefficients and
+    # do not inherit the tamper
+    original = legendre.legendre_on_circle
+    monkeypatch.setattr(legendre, "legendre_on_circle",
+                        lambda n: original(n) + term if n == 3 else original(n))
+
+
 @pytest.fixture
 def tampered_p3(monkeypatch, clean_caches):
-    # the recurrence caches P_4 and P_5 built from the tampered P_3
-    original = legendre.legendre_exact
-    original.cache_clear()
-    monkeypatch.setattr(legendre, "legendre_exact",
-                        lambda n: original(n) + LaurentPoly.one() if n == 3 else original(n))
-    yield
-    original.cache_clear()
+    # P_3 + 1, the image of a polynomial in x
+    _tamper_p3(monkeypatch, LaurentPoly.one())
+
+
+@pytest.fixture
+def asymmetric_p3(monkeypatch, clean_caches):
+    # z is not symmetric under z -> 1/z, so P_3(J) + z is the image of no polynomial in x
+    _tamper_p3(monkeypatch, LaurentPoly.monomial(1))
 
 
 def test_tampered_legendre_polynomial_fails_its_identities(tampered_p3):
+    # theta 1 = 0, so the derivative terms do not see the constant tamper
     failed = {(c.identity, c.n) for n in range(1, 6)
               for c in legendre.check_legendre_identities(n) if not c.passed}
     assert failed == {
         *(("legendre-christoffel-darboux", n) for n in range(2, 6)),
-        ("legendre-three-term", 2),
-        *(("legendre-derivative-relation", n) for n in range(3, 6)),
-        *(("legendre-derivative-difference", n) for n in range(3, 6)),
+        *(("legendre-three-term", n) for n in range(2, 5)),
+        ("legendre-three-term-derivative", 3),
+        *(("legendre-derivative-relation", n) for n in range(3, 5)),
+        ("legendre-derivative-difference", 3),
     }
+
+
+# the degrees k of the P_k each Legendre identity of degree n reads
+_READS = {
+    "legendre-christoffel-darboux": lambda n: range(n + 2),
+    "legendre-three-term": lambda n: (n - 1, n, n + 1),
+    "legendre-three-term-derivative": lambda n: (n - 1, n, n + 1),
+    "legendre-derivative-relation": lambda n: (n - 1, n),
+    "legendre-derivative-difference": lambda n: (n - 1, n, n + 1),
+}
+
+
+def test_asymmetric_legendre_polynomial_fails_every_identity_that_reads_it(asymmetric_p3, tmp_path,
+                                                                          capsys):
+    failed = {(c.identity, c.n) for n in range(1, 6)
+              for c in legendre.check_legendre_identities(n) if not c.passed}
+    assert failed == {(identity, n) for identity, reads in _READS.items()
+                      for n in range(1, 6) if 3 in reads(n)}
+    assert len(failed) == 15
+    out = tmp_path / "ledger.jsonl"
+    assert main(["verify-identities", "--n-max", "5", "--output", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_tampered_legendre_polynomial_reaches_every_kn_form(tampered_p3):

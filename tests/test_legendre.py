@@ -1,5 +1,5 @@
-"""Legendre evaluation by the one float recurrence, exact coefficients, circle
-form, identities, products."""
+"""Legendre evaluation by the one float recurrence, the exact circle form,
+identities, products."""
 
 import math
 import sys
@@ -13,11 +13,10 @@ from ortholeg.legendre import (
     check_legendre_identities,
     legendre_all,
     legendre_eval,
-    legendre_exact,
     legendre_on_circle,
     legendre_product_expand,
 )
-from ortholeg.ratpoly import LaurentPoly
+from ortholeg.ratpoly import JOUKOWSKI, LaurentPoly
 
 RNG = np.random.default_rng(20260811)
 
@@ -29,22 +28,26 @@ def _stack_depth() -> int:
     return depth
 
 
+def legendre_value(n, x):
+    """Exact P_n(x) at the rational x, from the explicit sum
+    2^-n sum_j (-1)^j C(n, j) C(2n - 2j, n) x^(n - 2j), which no package code uses."""
+    return sum((F((-1) ** j * math.comb(n, j) * math.comb(2 * n - 2 * j, n), 2**n) * x ** (n - 2 * j)
+                for j in range(n // 2 + 1)), F(0))
+
+
 def test_cold_caches_do_not_recurse_per_degree():
     n = 300
     limit = sys.getrecursionlimit()
-    legendre_exact.cache_clear()
     legendre_on_circle.cache_clear()
     try:
         sys.setrecursionlimit(_stack_depth() + n // 2)
-        exact, circle = legendre_exact(n), legendre_on_circle(n)
+        circle = legendre_on_circle(n)
     finally:
         sys.setrecursionlimit(limit)
-        legendre_exact.cache_clear()
         legendre_on_circle.cache_clear()
     # P_n(1) = 1, and J(1) = 1
-    assert sum(c for _, c in exact.terms()) == 1
     assert sum(c for _, c in circle.terms()) == 1
-    assert (exact.degree, circle.min_exp, circle.degree) == (n, -n, n)
+    assert (circle.min_exp, circle.degree) == (-n, n)
 
 
 def test_eval_degree_two():
@@ -89,12 +92,18 @@ def test_negative_degree_rejected():
             evaluate(-1, 0.5)
 
 
+def test_oracle_low_degrees():
+    for x in (F(0), F(1), F(-1, 3), F(5, 2)):
+        assert legendre_value(0, x) == 1
+        assert legendre_value(1, x) == x
+        assert legendre_value(2, x) == (3 * x**2 - 1) / 2
+        assert legendre_value(3, x) == (5 * x**3 - 3 * x) / 2
+
+
 def test_exact_low_degrees():
-    assert legendre_exact(0) == LaurentPoly({0: 1})
-    assert legendre_exact(1) == LaurentPoly({1: 1})
-    assert legendre_exact(2) == LaurentPoly({0: F(-1, 2), 2: F(3, 2)})
-    # (5x^3 - 3x)/2
-    assert legendre_exact(3) == LaurentPoly({1: F(-3, 2), 3: F(5, 2)})
+    assert legendre_on_circle(0) == LaurentPoly({0: 1})
+    # (5x^3 - 3x)/2 with x = (z + 1/z)/2
+    assert legendre_on_circle(3) == LaurentPoly({3: F(5, 16), 1: F(3, 16), -1: F(3, 16), -3: F(5, 16)})
 
 
 def _exact_value(poly, x):
@@ -105,9 +114,8 @@ def _exact_value(poly, x):
 def test_eval_matches_exact_coefficients():
     xs = RNG.uniform(-1, 1, size=100)
     for n in (1, 2, 5, 13, 27, 50):
-        exact = legendre_exact(n)
-        # exact coefficients at the exact binary rational of each sample
-        reference = np.array([float(_exact_value(exact, F(x))) for x in xs])
+        # the oracle's exact coefficients at the exact binary rational of each sample
+        reference = np.array([float(legendre_value(n, F(x))) for x in xs])
         value = legendre_eval(n, xs)
         # relative to the polynomial scale sup |P_n| = 1 on [-1, 1]
         scale = np.maximum(np.abs(reference), 1.0)
@@ -173,22 +181,36 @@ class TestOnCircle:
             for a, b, c in triples:
                 cosine = F(a, c)
                 on_circle = _exact_on_circle(p, cosine, F(b, c))
-                assert on_circle == (_exact_value(legendre_exact(n), cosine), 0)
+                assert on_circle == (legendre_value(n, cosine), 0)
                 direct = legendre_eval(n, float(cosine))
                 assert abs(float(on_circle[0]) - direct) < 1e-12
+
+    def test_matches_the_oracle_off_the_circle(self):
+        # P_n(J(z)) = P_n(x) at x = J(z), exactly, at rational z off the circle too
+        for n in range(41):
+            p = legendre_on_circle(n)
+            for z in (F(7, 10), F(-3, 2), F(5), F(-1, 9)):
+                assert _exact_value(p, z) == legendre_value(n, (z + 1 / z) / 2), (n, z)
+
+
+_S = LaurentPoly({1: F(1, 2), -1: F(-1, 2)})
+
+
+def _theta(p):
+    return p.diff().shift(1)
 
 
 class TestIdentities:
     def test_derivative_relation_hand_case(self):
-        # n=1: (x^2-1)*1 - 1*(x*x - 1) = 0
-        x = LaurentPoly.monomial(1)
-        one = LaurentPoly.one()
-        residual = (x * x - one) * legendre_exact(1).diff() - (x * legendre_exact(1) - legendre_exact(0))
+        # n=1: S theta P_1 - 1 (J P_1 - P_0) = S^2 - (J^2 - 1) = 0
+        p0, p1 = legendre_on_circle(0), legendre_on_circle(1)
+        residual = _S * _theta(p1) - (JOUKOWSKI * p1 - p0)
         assert residual.is_zero
 
     def test_derivative_difference_hand_case(self):
-        # n=1: 3*P_1 - (P_2' - P_0') = 3x - 3x
-        residual = 3 * legendre_exact(1) - (legendre_exact(2).diff() - legendre_exact(0).diff())
+        # n=1: 3 S P_1 - (theta P_2 - theta P_0) = 3 (z^2 - z^-2)/4 - 3 (z^2 - z^-2)/4
+        p0, p1, p2 = (legendre_on_circle(k) for k in range(3))
+        residual = 3 * _S * p1 - (_theta(p2) - _theta(p0))
         assert residual.is_zero
 
     def test_all_identities_to_forty(self):
@@ -223,13 +245,13 @@ class TestProductExpand:
                 assert a0 == (F(1, 2 * i + 1) if i == j else 0)
                 assert a0 * F(2 * i + 1, 2) == (F(1, 2) if i == j else 0)
 
-    def test_expansion_reproduces_exact_monomial_product(self):
+    def test_expansion_reproduces_exact_product_on_the_circle(self):
         for i in range(13):
             for j in range(13):
                 rebuilt = LaurentPoly.zero()
                 for k, a in enumerate(legendre_product_expand(i, j)):
-                    rebuilt = rebuilt + a * legendre_exact(k)
-                assert rebuilt == legendre_exact(i) * legendre_exact(j)
+                    rebuilt = rebuilt + a * legendre_on_circle(k)
+                assert rebuilt == legendre_on_circle(i) * legendre_on_circle(j)
 
     def test_expansion_reproduces_product_numerically(self):
         xs = RNG.uniform(-1, 1, size=20)
