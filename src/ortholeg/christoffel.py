@@ -16,7 +16,9 @@ K_n = ((n+1)^2 P_n^2 - (x^2 - 1) P_n'^2) / (2(n+1)), by
 
 The exact sum form is (1/(n+1)) times ``legendre._square_sum(n)``, the one
 exact sum of (2k+1)/2 P_k^2, which the Legendre Christoffel-Darboux identity
-reads too; that sum carries each degree into the next by one square.
+reads too; that sum carries each degree into the next by one square.  The
+Christoffel-Darboux form is ``legendre._cd_product(n)``, the product that
+the Legendre Christoffel-Darboux identity reads too.
 Floating point evaluates the sum form only (``_pstar_kn``), which is
 positive on [-1, 1].
 
@@ -34,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .certificates import certifies
-from .legendre import _S, _legendre_rows, _square_sum, legendre_all, legendre_on_circle
+from .legendre import _S, _cd_product, _legendre_rows, _square_sum, legendre_all, legendre_on_circle
 from .ratpoly import LaurentPoly
 
 
@@ -106,17 +108,10 @@ def _kn_exact_closed(n: int) -> LaurentPoly:
     return ((n + 1) ** 2 * (p * p) - dp * dp) * Fraction(1, 2 * (n + 1))
 
 
-def _kn_exact_cd(n: int) -> LaurentPoly:
-    # 2 S K_n(J)
-    p = legendre_on_circle(n)
-    p1 = legendre_on_circle(n + 1)
-    return p1.diff().shift(1) * p - p1 * p.diff().shift(1)
-
-
 @certifies("christoffel-forms-agree")
 def check_kn_forms(n: int) -> LaurentPoly:
     """Certify that the sum, Christoffel-Darboux and closed forms of K_n(J) agree exactly."""
-    return 2 * _S * kn_exact(n) - _kn_exact_cd(n)
+    return 2 * _S * kn_exact(n) - _cd_product(n)
 
 
 def q_basis_all(n: int, x) -> np.ndarray:

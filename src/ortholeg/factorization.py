@@ -10,10 +10,14 @@ Four independent constructions of F_n are certified to agree exactly (the
 derivative definition, the closed binomial coefficients, the terminating
 hypergeometric series, and the second-order ODE it satisfies), and its 2n
 roots are computed and certified to be simple and strictly inside the unit
-disk, which is what makes the contour-moment bookkeeping work.  The Aberth
-sweeps that find the roots evaluate F_n and its derivative by baby-step
-giant-step (Paterson-Stockmeyer); the residual that certifies each root is
-taken by Horner's rule, apart from the sweeps.
+disk, which is what makes the contour-moment bookkeeping work.  F_n has
+real coefficients, so its roots are closed under conjugation: the Aberth
+sweeps that find them move one root of each conjugate pair, repelled by the
+others and their conjugates, and the set is completed by conjugation, so
+conjugate roots are conjugate to the bit.  The sweeps evaluate F_n and its
+derivative by baby-step giant-step (Paterson-Stockmeyer); the residual that
+certifies each root is taken by Horner's rule, apart from the sweeps, once
+per distinct z^2.
 """
 
 from __future__ import annotations
@@ -302,21 +306,30 @@ def _paterson_stockmeyer(coeffs: np.ndarray):
     return evaluate
 
 
-def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Simultaneous Aberth refinement of all roots of a monic polynomial.
+def _aberth_polish(coeffs: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Simultaneous Aberth refinement of the roots of a real monic polynomial, by conjugate halves.
 
-    ``coeffs`` are monic coefficients, highest power first, and ``roots`` the
-    distinct starting points.  Each sweep evaluates the polynomial and its
-    derivative at every root by ``_paterson_stockmeyer`` and moves every
-    root by its Aberth correction; the sweeps stop when the values are near
-    machine precision or the largest correction is at most 4e-16, a few ulps
-    of a root inside the unit disk, and after at most 60 sweeps.  The
-    residual that certifies the roots is not taken here: ``fn_roots`` takes
-    it by Horner's rule, so a fault in the sweeps' evaluator cannot certify
-    its own roots.
+    ``coeffs`` are real monic coefficients, highest power first, of degree
+    n.  The roots of a real polynomial are closed under conjugation, so
+    ``half`` holds one start of each conjugate pair, n // 2 of them, and for
+    an odd n the start of the one real root last, with an imaginary part of
+    exactly 0: ceil(n / 2) distinct points.  The other half of the roots is
+    their conjugates, so each root is repelled by the other half-roots and
+    by the conjugates of all of them but the real root, whose conjugate is
+    itself.  Each sweep evaluates the polynomial and its derivative at the
+    half-roots by ``_paterson_stockmeyer`` and moves each by its Aberth
+    correction, then sets the real root's imaginary part to exactly 0; the
+    sweeps stop when the values are near machine precision or the largest
+    correction is at most 4e-16, a few ulps of a root inside the unit disk,
+    and after at most 60 sweeps.  Returns the polished half.  The residual
+    that certifies the roots is not taken here: ``fn_roots`` takes it by
+    Horner's rule, so a fault in the sweeps' evaluator cannot certify its
+    own roots.
     """
     evaluate = _paterson_stockmeyer(coeffs)
     scale = np.sum(np.abs(coeffs))
+    pairs = (len(coeffs) - 1) // 2
+    roots = half
     for _ in range(60):
         values, slopes = evaluate(roots)
         if np.max(np.abs(values)) <= 1e-15 * scale:
@@ -324,9 +337,11 @@ def _aberth_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
         newton = values / slopes
         diffs = roots[:, None] - roots[None, :]
         np.fill_diagonal(diffs, 1.0)
-        repulsion = np.sum(1.0 / diffs, axis=1) - 1.0
+        repulsion = (np.sum(1.0 / diffs, axis=1) - 1.0
+                     + np.sum(1.0 / (roots[:, None] - roots[None, :pairs].conj()), axis=1))
         correction = newton / (1.0 - newton * repulsion)
         roots = roots - correction
+        roots[pairs:] = roots[pairs:].real
         if np.max(np.abs(correction)) <= 4e-16:
             break
     return roots
@@ -336,28 +351,44 @@ def fn_roots(n: int) -> RootReport:
     """Compute and certify the 2n roots of F_n.
 
     F_n is even, so simultaneous Aberth iteration solves the degree-n
-    polynomial in w = z^2, with no eigensolve.  It starts from the n points
-    at angles 2 pi (k + 1/2) / n on the circle of radius |c_0 / c_n|^{1/n},
-    the geometric mean of the w-root moduli by Vieta; like the roots of a
-    real polynomial, this start is closed under conjugation.  The z-roots
-    are then the +- square roots, preserving the pair structure exactly.
+    polynomial in w = z^2, with no eigensolve.  Its coefficients are real,
+    so its w-roots come in conjugate pairs, and the iteration runs on one
+    half (``_aberth_polish``): it starts from the ceil(n/2) points at angles
+    2 pi (k + 1/2) / n, k < ceil(n/2), with Im >= 0, on the
+    circle of radius |c_0 / c_n|^{1/n}, the geometric mean of the w-root
+    moduli by Vieta; for an odd n the last angle is pi, and that start is
+    exactly -radius, the start of the real root.  The other w-roots are the
+    conjugates of the n // 2 non-real ones, and the z-roots are the +- square
+    roots, preserving the pair structure exactly: conjugate z-roots are
+    conjugate to the bit.  A conjugate pair that had to split onto the real
+    axis would miss its residual and not converge.
+
     Each root carries its residual |F_n(z)|, taken by ``np.polyval`` and not
     by the sweeps' evaluator, against ``1e-10 * (n+1)`` (F_n has positive
     coefficients, so n + 1 = F_n(1) bounds it on the closed disk), and
     converges only when that residual is met and its squared modulus is
-    within ``fn_root_radius_bound(n)``, up to the same relative 1e-10.
+    within ``fn_root_radius_bound(n)``, up to the same relative 1e-10.  The
+    residual is evaluated once per distinct z^2, at s * s for the square
+    root s of each polished w-root: (-s)^2 = s^2 to the bit, and with real
+    coefficients Horner's rule at conj(s)^2 = conj(s^2) gives the conjugate
+    value, so each of the four z-roots of a pair takes the same residual as
+    its own evaluation would.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     even = fn_float_coeffs(n)[::-1]
     monic = even / even[0]
     radius = abs(monic[-1]) ** (1.0 / n)
-    start = radius * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
-    w_roots = _aberth_polish(monic, start)
-    s = np.sqrt(w_roots)
+    pairs = n // 2
+    start = radius * np.exp(2j * np.pi * (np.arange(n - pairs) + 0.5) / n)
+    start[pairs:] = -radius
+    half = np.sqrt(_aberth_polish(monic, start))
+    s = np.concatenate((half, half[:pairs].conj()))
     zs = np.column_stack((s, -s)).ravel()
-    zs = zs[np.lexsort((zs.imag, np.round(zs.real, 12)))]  # ties conjugates: -im first
-    residuals = np.abs(np.polyval(even, zs * zs))
+    residual = np.abs(np.polyval(even, half * half))
+    residuals = np.repeat(np.concatenate((residual, residual[:pairs])), 2)  # in the order of zs
+    order = np.lexsort((zs.imag, np.round(zs.real, 12)))  # ties conjugates: -im first
+    zs, residuals = zs[order], residuals[order]
     modulus = np.hypot(zs.real, zs.imag)  # Python's abs(complex), to the bit
     converged = (residuals <= 1e-10 * (n + 1)) & (
         modulus**2 <= float(fn_root_radius_bound(n)) * (1 + 1e-10))

@@ -20,7 +20,12 @@ The exact sum sum_{k<=n} (2k+1)/2 P_k(J)^2 = (n+1) K_n(J) is written once,
 in ``_square_sum``: the Christoffel-Darboux identity below and ``kn_exact``
 in ``christoffel`` both read it.  Its cache holds one degree, because the
 ledger asks both callers for degree n before it goes on to n + 1, and each
-degree adds one square to the degree before.
+degree adds one square to the degree before.  The Christoffel-Darboux
+product theta P_{n+1} P_n - P_{n+1} theta P_n is written once too, in
+``_cd_product``, which that identity and ``christoffel.check_kn_forms``
+read, with a cache of one degree for the same reason.  The central
+binomials C(2j, j) of the closed coefficients of P_n(J) come from one
+cached integer table, ``_central_binomials``.
 
 Normalization is the classical one, P_n(1) = 1, with base cases P_0 = 1 and
 P_1 = x; the orthonormalized family is P_n* = sqrt((2n+1)/2) P_n.
@@ -104,6 +109,31 @@ def legendre_all(n_max: int, x, rows=None):
 
 
 @lru_cache(maxsize=None)
+def _central_table(size: int) -> tuple[int, ...]:
+    """C(2j, j) for j < ``size``, a power of two: the table of half the size, continued.
+
+    Each entry comes from the last by the exact recurrence
+    C(2j + 2, j + 1) = C(2j, j) 2(2j + 1) / (j + 1), whose division leaves no
+    remainder, so a table of N entries costs N small multiplications once.
+    """
+    if size == 1:
+        return (1,)
+    table = list(_central_table(size // 2))
+    for j in range(size // 2 - 1, size - 1):
+        table.append(table[-1] * 2 * (2 * j + 1) // (j + 1))
+    return tuple(table)
+
+
+def _central_binomials(n: int) -> tuple[int, ...]:
+    """The central binomials C(2j, j) for j = 0..n, and possibly more.
+
+    One cached integer table, grown by doubling, serves every degree: the
+    exact P_n(J) here and the contour weights of ``quadrature_verify``.
+    """
+    return _central_table(1 << n.bit_length())
+
+
+@lru_cache(maxsize=None)
 def legendre_on_circle(n: int) -> LaurentPoly:
     """Exact Laurent polynomial P_n(J(z)) with J(z) = (z + 1/z)/2, from its closed coefficients.
 
@@ -116,8 +146,10 @@ def legendre_on_circle(n: int) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    central = [math.comb(2 * j, j) for j in range(n + 1)]
-    return LaurentPoly({n - 2 * j: central[j] * central[n - j] for j in range(n + 1)}) * Fraction(1, 4**n)
+    central = _central_binomials(n)
+    # exponents n - 2j ascending, as the storage of LaurentPoly keeps them
+    numerators = {n - 2 * j: central[j] * central[n - j] for j in range(n, -1, -1)}
+    return LaurentPoly._reduced(numerators, 4**n)
 
 
 @lru_cache(maxsize=1)
@@ -137,6 +169,19 @@ def _square_sum(n: int) -> LaurentPoly:
     total = _square_sum(n - 1) if n else LaurentPoly.zero()
     p = legendre_on_circle(n)
     return total + Fraction(2 * n + 1, 2) * (p * p)
+
+
+@lru_cache(maxsize=1)
+def _cd_product(n: int) -> LaurentPoly:
+    """Exact theta P_{n+1}(J) P_n(J) - P_{n+1}(J) theta P_n(J), which is 2 S K_n(J).
+
+    The Christoffel-Darboux product, read by the Legendre identity below and
+    by ``christoffel.check_kn_forms``.  Its cache holds one degree, as that
+    of ``_square_sum`` does: the ledger runs both callers on degree n before
+    degree n + 1, so each degree's product is built once.
+    """
+    p, p1 = legendre_on_circle(n), legendre_on_circle(n + 1)
+    return p1.diff().shift(1) * p - p1 * p.diff().shift(1)
 
 
 def check_legendre_identities(n: int) -> list[Certificate]:
@@ -164,7 +209,7 @@ def check_legendre_identities(n: int) -> list[Certificate]:
         raise ValueError("n must be at least 1")
     p = {k: legendre_on_circle(k) for k in (n - 1, n, n + 1)}
     dp = {k: q.diff().shift(1) for k, q in p.items()}
-    cd = _S * _square_sum(n) - Fraction(n + 1, 2) * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
+    cd = _S * _square_sum(n) - Fraction(n + 1, 2) * _cd_product(n)
     rec = (n + 1) * p[n + 1] - (2 * n + 1) * JOUKOWSKI * p[n] + n * p[n - 1]
     drec = (n + 1) * dp[n + 1] - (2 * n + 1) * (_S * p[n] + JOUKOWSKI * dp[n]) + n * dp[n - 1]
     christ = _S * dp[n] - n * (JOUKOWSKI * p[n] - p[n - 1])

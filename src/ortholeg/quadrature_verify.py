@@ -6,7 +6,8 @@ Three equivalent integral forms are computed:
 - the periodic form, (1/2 pi) integral over [0, 2 pi) of
   P_i*(cos t) P_j*(cos t) / K_n(cos t), by the composite trapezoid rule on a
   uniform grid (spectrally convergent for smooth periodic integrands),
-- the contour form over the unit circle via z = e^{it}, and
+- the contour form over the unit circle via z = e^{it}, by the same rule,
+  each grid's sum taken by FFTs, and
 - the original interval form with the arcsine weight, by Gauss-Chebyshev
   nodes (the same change of variables, sampled at midpoints).
 
@@ -14,20 +15,22 @@ The integrands are rational in (cos t, sin t) and analytic in a strip, so
 grid doubling converges geometrically; no fixed Gauss rule on [-1, 1] would
 be exact because the integrand is not a polynomial.
 
-The uniform grids of the periodic and contour forms nest: the even points of
-the 2M grid are the M grid (Trefethen & Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Review 2014), so each doubling evaluates
-only the M points it adds.  Every integrand is real and even about t = 0,
-and even or odd about t = pi/2: under t -> pi - t, cos t changes sign,
-Q_i(-x) = (-1)^i Q_i(x), P_k(-x) = (-1)^k P_k(x), and |F_n(e^{it})|^2 does
-not change, as F_n is a real polynomial in z^2.  So ``_periodic`` evaluates
-the quarter period [0, pi/2] only, each angle once, of an integrand folded
-about pi/2, h(t) = f(t) + f(pi - t):
+The uniform grids of the periodic form nest: the even points of the 2M grid
+are the M grid, so each doubling evaluates only the M points it adds.  Its
+integrand is real and even about t = 0, and even or odd about t = pi/2:
+under t -> pi - t, cos t changes sign and Q_i(-x) = (-1)^i Q_i(x).  So
+``_periodic`` evaluates the quarter period [0, pi/2] only, each angle once,
+of an integrand folded about pi/2, h(t) = f(t) + f(pi - t): the Gram's h is
+2 (E E^T + O O^T), E and O the even- and odd-degree rows of the Q basis, so
+every entry with i + j odd is exactly 0.
 
-- the Gram's h is 2 (E E^T + O O^T), E and O the even- and odd-degree rows
-  of the Q basis, so every entry with i + j odd is exactly 0;
-- an even-k contour integrand gives h = 2f, and an odd-k one is evaluated at
-  both t and pi - t, so its moment, 0 in exact arithmetic, is measured.
+A trapezoid sum on the uniform grid of M points is a discrete Fourier
+coefficient (Trefethen & Weideman, "The exponentially convergent trapezoidal
+rule", SIAM Review 2014).  The contour form's integrand is the weight
+2(n+1) / |F_n(e^{it})|^2 times P_k(cos t), a sum of cosines of k + 1 known
+coefficients, so each grid takes one FFT of F_n's coefficients, for the
+weight, and one of the weight, for all its Chebyshev moments at once
+(``contour_moment_numeric``); no Legendre recurrence runs.
 
 The interval form's midpoint nodes do not nest, but they are symmetric about
 x = 0: an even i + j averages over the positive half of them, and an odd
@@ -41,16 +44,16 @@ of its predicted grid, so the first doubling it evaluates can meet the
 tolerance.
 
 Every refinement thus evaluates its start grid and that first doubling, so
-``_refine`` asks for both in one call, and each form evaluates the new points
-of both grids in one sweep of its integrand.  On grids of tens to a few
-thousand points a sweep of the Legendre recurrence costs mostly its numpy
-calls, a few per degree, not its length: at n = 20 to 200 one sweep over
-both grids costs 0.5 to 0.8 times two sweeps.  Each grid is then summed on
-its own slice of the sweep, in the order of one sweep per grid, so every
-value keeps its bits.  The Gram holds its sweep as two blocks of rows, the
-even and the odd degrees of the Q basis, which its two symmetric products
-use as they are, so no array of the pass holds all n + 1 rows of both
-grids.
+``_refine`` asks for both in one call.  The periodic and interval forms
+evaluate the new points of both grids in one sweep of their integrand.  On
+grids of tens to a few thousand points a sweep of the Legendre recurrence
+costs mostly its numpy calls, a few per degree, not its length: at n = 20 to
+200 one sweep over both grids costs 0.5 to 0.8 times two sweeps.  Each grid
+is then summed on its own slice of the sweep, in the order of one sweep per
+grid, so every value keeps its bits.  The Gram holds its sweep as two blocks
+of rows, the even and the odd degrees of the Q basis, which its two
+symmetric products use as they are, so no array of the pass holds all
+n + 1 rows of both grids.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import numpy as np
 
 from .christoffel import _pstar_pair_kn, _q_parity
 from .factorization import fn_float_coeffs, fn_root_radius_bound
-from .legendre import legendre_eval
+from .legendre import _central_binomials
 
 BASE_POINTS = 64
 MAX_POINTS = 2**20
@@ -253,29 +256,44 @@ def contour_moment_numeric(n: int, k: int) -> complex:
     grid is doubled until successive values agree to 1e-12.  The imaginary
     part is exactly 0; the real part converges to the exact rational moment.
 
-    The integrand f is even about pi/2 for an even k, so the quarter period
-    sums 2f; for an odd k it is odd, and f is evaluated at both t and pi - t,
-    so the moment, 0 in exact arithmetic, is measured on the whole half period.
+    Each grid of M points is one trapezoid sum, taken by two FFTs of length
+    M (Trefethen & Weideman, SIAM Review 2014).  F_n(z) = sum_j c_j z^{2j} at
+    the angles 2 pi m / M is one real FFT of the c_j placed at the exponents
+    2j mod M, which gives conj(F_n) there, and so the weight
+    w = 2(n+1) / |F_n|^2.  The Chebyshev moments c^_r = mean cos(r t_m) w_m
+    are one inverse real FFT of w, which is even in m.  As
+    P_k(cos t) = sum_j a_j a_{k-j} cos((k - 2j) t) exactly, with
+    a_j = C(2j, j) / 4^j, and cos(r t_m) depends on the grid only through
+    rho(r) = min(|r| mod M, M - |r| mod M), the moment on the grid is
+    sum_j a_j a_{k-j} c^_{rho(k - 2j)}, each a_j correctly rounded.
+
+    F_n is even in z, so w has period pi, and every odd Chebyshev moment is
+    0 up to rounding, or exactly 0: an odd k gives a moment of the size of
+    the rounding, which agrees on its first doubling, so it starts at
+    BASE_POINTS; an even k starts one doubling short of its predicted grid.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= 2 * n:
         raise ValueError("k must satisfy 0 <= k <= 2n")
-    coeffs = fn_float_coeffs(n)[::-1]
+    coeffs = fn_float_coeffs(n)
+    central = _central_binomials(k)
+    alpha = np.array([central[j] / (1 << 2 * j) for j in range(k + 1)])
+    weights = alpha * alpha[::-1]
+    orders = np.abs(k - 2 * np.arange(k + 1))
 
-    def integrand(t):
-        f = np.polyval(coeffs, np.exp(2j * t))
-        return 2 * (n + 1) * legendre_eval(k, np.cos(t)) / (f.real**2 + f.imag**2)
+    def moments(*grids: int) -> list[float]:
+        values = []
+        for points in grids:
+            spread = np.bincount(2 * np.arange(n + 1) % points, coeffs, points)
+            f = np.fft.rfft(spread)
+            chebyshev = np.fft.irfft(2 * (n + 1) / (f.real**2 + f.imag**2), points)
+            rho = np.minimum(orders % points, points - orders % points)
+            values.append(float(weights @ chebyshev[rho]))
+        return values
 
-    def folded(t):
-        if k % 2 == 0:
-            return 2 * integrand(t)
-        v = integrand(np.concatenate([t, np.pi - t]))
-        return v[:t.size] + v[t.size:]
-
-    # an odd k gives an integrand odd about pi/2, whose first doubling agrees
     start = _predicted_points(n, 1e-12, 2) // 2 if k % 2 == 0 else BASE_POINTS
-    return complex(_refine(_periodic(folded, lambda v, cols: np.sum(v[cols])), 1e-12, 2, start)[0])
+    return complex(_refine(moments, 1e-12, 2, start)[0])
 
 
 def interval_form_numeric(n: int, i: int, j: int) -> float:

@@ -158,6 +158,26 @@ def _set_distance(a, b):
     return max(distances.min(axis=0).max(), distances.min(axis=1).max())
 
 
+def _full_set_aberth(monic):
+    # simultaneous Aberth refinement of all n roots, none found by conjugation
+    n = len(monic) - 1
+    roots = abs(monic[-1]) ** (1.0 / n) * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+    evaluate = factorization._paterson_stockmeyer(monic)
+    scale = np.sum(np.abs(monic))
+    for _ in range(60):
+        values, slopes = evaluate(roots)
+        if np.max(np.abs(values)) <= 1e-15 * scale:
+            break
+        newton = values / slopes
+        diffs = roots[:, None] - roots[None, :]
+        np.fill_diagonal(diffs, 1.0)
+        correction = newton / (1.0 - newton * (np.sum(1.0 / diffs, axis=1) - 1.0))
+        roots = roots - correction
+        if np.max(np.abs(correction)) <= 4e-16:
+            break
+    return roots
+
+
 class TestRoots:
     def test_degree_one_exact(self):
         report = fn_roots(1)
@@ -185,12 +205,38 @@ class TestRoots:
                 assert r.residual < 1e-10 * (n + 1)
 
     def test_circle_start_matches_eigenvalue_start(self):
-        # oracle: the companion-matrix eigenvalues of np.roots, polished the same way
+        # oracle: the companion-matrix eigenvalues of np.roots, their Im >= 0
+        # half, the real root last, polished the same way and completed by
+        # conjugation
         for n in START_DEGREES:
             even = factorization.fn_float_coeffs(n)[::-1]
             monic = even / even[0]
-            reference = factorization._aberth_polish(monic, np.roots(monic))
+            eigen = np.roots(monic)
+            half = np.concatenate((eigen[eigen.imag > 0], eigen[eigen.imag == 0]))
+            assert len(half) == n - n // 2
+            polished = factorization._aberth_polish(monic, half)
+            reference = np.concatenate((polished, polished[:n // 2].conj()))
             assert _set_distance(_w_roots(fn_roots(n)), reference) < 1e-13
+
+    def test_half_set_matches_a_full_set_aberth(self):
+        # oracle: Aberth on all n w-roots from all n circle starts, each root
+        # repelled by the n - 1 others, with the same evaluator and stop rule
+        for n in [*range(1, 401), 800]:
+            even = factorization.fn_float_coeffs(n)[::-1]
+            monic = even / even[0]
+            assert _set_distance(_w_roots(fn_roots(n)), _full_set_aberth(monic)) < 1e-13
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 199, 200, 399, 400, 799, 800])
+    def test_conjugate_roots_are_conjugate_to_the_bit(self, n):
+        zs = [complex(r.re, r.im) for r in fn_roots(n).roots]
+        assert all(upper == lower.conjugate() for lower, upper in zip(zs[::2], zs[1::2]))
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 199, 200, 399, 400, 799, 800])
+    def test_odd_degree_real_w_root_is_exactly_real(self, n):
+        # its square roots are then exactly imaginary, so their squares are exactly real
+        zs = [complex(r.re, r.im) for r in fn_roots(n).roots]
+        assert sum((z * z).imag == 0.0 for z in zs) == 2 * (n % 2)
+        assert sum(z.real == 0.0 for z in zs) == 2 * (n % 2)
 
     def test_w_roots_closed_under_conjugation(self):
         for n in START_DEGREES:
@@ -287,6 +333,14 @@ class TestPatersonStockmeyer:
 
 
 class TestRootRecords:
+    @pytest.mark.parametrize("n", [*range(1, 61), 200, 201, 800])
+    def test_residuals_are_those_of_one_evaluation_per_root(self, n):
+        # one Horner evaluation per distinct z^2 gives each root's own residual to the bit
+        report = fn_roots(n)
+        zs = np.array([complex(r.re, r.im) for r in report.roots])
+        even = factorization.fn_float_coeffs(n)[::-1]
+        assert [r.residual for r in report.roots] == np.abs(np.polyval(even, zs * zs)).tolist()
+
     @pytest.mark.parametrize("n", [*range(1, 61), 200, 800])
     def test_records_follow_the_per_root_rule(self, n):
         report = fn_roots(n)

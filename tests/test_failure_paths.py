@@ -18,6 +18,7 @@ def _clear_caches():
     factorization.factor_pair.cache_clear()
     christoffel.kn_exact.cache_clear()
     legendre._square_sum.cache_clear()
+    legendre._cd_product.cache_clear()
     partial_fractions.moments_table.cache_clear()
 
 
@@ -124,8 +125,8 @@ def test_tampered_closed_form_fails_kn_forms(monkeypatch, clean_caches):
 
 
 def test_tampered_christoffel_darboux_form_fails_kn_forms(monkeypatch, clean_caches):
-    original = christoffel._kn_exact_cd
-    monkeypatch.setattr(christoffel, "_kn_exact_cd", lambda n: 3 * original(n))
+    original = christoffel._cd_product
+    monkeypatch.setattr(christoffel, "_cd_product", lambda n: 3 * original(n))
     cert = christoffel.check_kn_forms(2)
     assert cert.status == "fail" and cert.residual_terms > 0
     assert factorization.check_fejer_riesz(2).passed
@@ -271,12 +272,15 @@ def test_asymmetric_legendre_polynomial_fails_every_identity_that_reads_it(asymm
 
 def test_tampered_legendre_polynomial_reaches_every_kn_form(tampered_p3):
     # the Legendre identities and K_n read one sum of (2k+1)/2 P_k^2, so the
-    # tampered P_3 reaches K_n from n = 3 on, whether its caches start cold or warm
+    # tampered P_3 reaches K_n from n = 3 on, whether its caches start cold or
+    # warm; they read one Christoffel-Darboux product too, and that of K_2
+    # reads P_3, so the K_n forms fail from n = 2 on
     for _ in range(2):
         failed = {(c.identity, c.n) for c in identity_ledger(5)
                   if not c.passed and not c.identity.startswith("legendre-")}
-        assert failed == {(identity, n) for identity in ("christoffel-forms-agree", "fejer-riesz")
-                          for n in range(3, 6)}
+        assert failed == {("christoffel-forms-agree", 2)} | {
+            (identity, n) for identity in ("christoffel-forms-agree", "fejer-riesz")
+            for n in range(3, 6)}
 
 
 def test_tampered_legendre_polynomial_exits_one(tampered_p3, tmp_path, capsys):

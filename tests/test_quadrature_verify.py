@@ -1,5 +1,7 @@
 """Numeric verification paths: periodic trapezoid, contour sampling, interval form."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -201,24 +203,30 @@ class TestContourMoment:
         assert moment.imag == 0.0
         assert abs(moment.real - full.real) <= 1e-14
 
-    @pytest.mark.parametrize("n, k, evaluated", [(20, 0, 257), (120, 238, 1025),
-                                                 (200, 398, 2049)])
-    def test_each_angle_is_evaluated_once(self, n, k, evaluated, monkeypatch):
-        # the P/8 + 1 angles of [0, pi/2] on half the predicted grid P and the
-        # P/8 odd angles of P in one call, then the odd angles of each later
-        # doubling; even k only, as an odd-k integrand converges at once
-        counted = []
+    @pytest.mark.parametrize("n, k", [(20, 0), (120, 238), (200, 398)])
+    def test_each_grid_is_one_fft_pair_of_its_length(self, n, k, monkeypatch):
+        # F_n by one real FFT and the Chebyshev moments of its weight by one
+        # inverse real FFT, each of the grid's own length, for each grid of the
+        # ladder from half the predicted grid P; even k only, as an odd-k
+        # moment converges at once
+        counted = _count_ffts(monkeypatch)
+        levels, _ = _levels(monkeypatch, contour_moment_numeric, n, k)
+        grids = [p for p, _ in levels]
+        assert grids[0] == quadrature_verify._predicted_points(n, 1e-12, 2) // 2
+        assert counted == [p for p in grids for _ in range(2)]
 
-        def counting(degree, x):
-            counted.append(np.size(x))
-            return legendre_eval(degree, x)
+    @pytest.mark.parametrize("n", [1, 5, 40, 200])
+    def test_a_scaled_coefficient_moves_the_zeroth_moment(self, n, monkeypatch):
+        # every coefficient of F_n reaches the weight: any one scaled by 1.01
+        # moves mu_0 off 2 by far more than the acceptance tolerance
+        for index in sorted({0, n // 2, n}):
+            def scaled(degree, index=index):
+                coeffs = fn_float_coeffs(degree)
+                coeffs[index] *= 1.01
+                return coeffs
 
-        monkeypatch.setattr(quadrature_verify, "legendre_eval", counting)
-        contour_moment_numeric(n, k)
-        half = quadrature_verify._predicted_points(n, 1e-12, 2) // 8
-        doublings = len(counted)
-        assert counted == [2 * half + 1] + [half * 2**m for m in range(1, doublings)]
-        assert sum(counted) == evaluated == half * 2**doublings + 1
+            monkeypatch.setattr(quadrature_verify, "fn_float_coeffs", scaled)
+            assert abs(contour_moment_numeric(n, 0).real - 2.0) > 1e-10
 
     def test_degree_2n_converges_below_the_degree_cap(self, monkeypatch):
         # the integrand holds two recurrence rows per point, whatever k, so the
@@ -282,6 +290,16 @@ def _count_sizes(monkeypatch, module, name, position):
     return counted
 
 
+def _count_ffts(monkeypatch):
+    # the length of every FFT the contour form takes: the input of each real
+    # FFT, the output of each inverse one
+    counted = []
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a: counted.append(np.size(a)) or rfft(a))
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n: counted.append(n) or irfft(a, n))
+    return counted
+
+
 def _same(a, b):
     return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
@@ -326,18 +344,11 @@ class TestPredictedGrid:
 
     @pytest.mark.parametrize("n", [1, 20, 60, 120, 200])
     def test_contour_evaluates_no_finer_grid_than_it_uses(self, n, monkeypatch):
-        counted = []
-
-        def counting(degree, x):
-            counted.append(np.size(x))
-            return legendre_eval(degree, x)
-
-        monkeypatch.setattr(quadrature_verify, "legendre_eval", counting)
+        counted = _count_ffts(monkeypatch)
         for k in (0, 2 * n):
             counted.clear()
             levels, _ = _levels(monkeypatch, contour_moment_numeric, n, k)
-            # the first call holds the quarter period 0..pi/2 of the second grid
-            assert 4 * (counted[0] - 1) <= levels[-1][0]
+            assert max(counted) <= levels[-1][0]
 
     @pytest.mark.parametrize("n, i, j", [(20, 0, 0), (120, 60, 60), (200, 3, 151),
                                          (5, 2, 3), (60, 0, 17), (200, 3, 150)])
@@ -357,19 +368,20 @@ class TestPredictedGrid:
     def test_no_call_passes_the_entry_budget(self, monkeypatch):
         # 11 rows per point leave 256 points as the Gram's last grid: the
         # prediction for tol 1e-300 is clamped there, so it starts at 128; the
-        # contour and interval forms hold two rows, which leave 1024
+        # contour and interval forms hold two rows, which leave 1024, and no
+        # FFT of the contour form is longer
         monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 11 * 256)
         assert quadrature_verify._predicted_points(10, 1e-300, 11) == 256
         assert quadrature_verify._last_grid(2) == 1024
         gram = _count_sizes(monkeypatch, christoffel, "legendre_all", 1)
-        contour = _count_sizes(monkeypatch, quadrature_verify, "legendre_eval", 1)
+        contour = _count_ffts(monkeypatch)
         interval = _count_sizes(monkeypatch, quadrature_verify, "_pstar_pair_kn", 3)
         report = orthogonality_numeric(10, tol=1e-300)
         contour_moment_numeric(10, 10)
         interval_form_numeric(10, 5, 5)
         assert report.points_used == 256 and not report.converged
         assert gram == [65]
-        assert max(contour) <= 1024 // 4 + 1
+        assert max(contour) <= 1024
         assert max(interval) <= 1024 // 2
 
     @pytest.mark.parametrize("n, tol, points", [(5, 1e6, 128), (0, 1e-300, 128), (0, 1e6, 128),
@@ -394,12 +406,13 @@ class TestPredictedGrid:
 class TestFold:
     @pytest.mark.parametrize("n, k", [(5, 3), (20, 17), (120, 239)])
     def test_odd_k_contour_evaluates_the_whole_symmetric_grid(self, n, k, monkeypatch):
-        # the integrand at t and pi - t for each angle t of [0, pi/2], the
-        # first two grids in one call, then one call per grid
-        counted = _count_sizes(monkeypatch, quadrature_verify, "legendre_eval", 1)
+        # one FFT pair over the whole grid of each level, from BASE_POINTS: the
+        # moment, 0 up to rounding, agrees on its first doubling
+        counted = _count_ffts(monkeypatch)
         levels, _ = _levels(monkeypatch, contour_moment_numeric, n, k)
         grids = [p for p, _ in levels]
-        assert counted == [2 * (grids[0] // 4 + 1) + grids[1] // 4] + [p // 4 for p in grids[2:]]
+        assert grids == [BASE_POINTS, 2 * BASE_POINTS]
+        assert counted == [p for p in grids for _ in range(2)]
 
     @pytest.mark.parametrize("n", [20, 37, 55, 71, 93, 110, 128, 149, 166, 181, 200])
     def test_forms_match_unfolded_oracles(self, n, monkeypatch):
@@ -490,20 +503,19 @@ def _one_grid_gram(n, tol=1e-10):
 
 
 def _one_grid_contour(n, k):
-    coeffs = fn_float_coeffs(n)[::-1]
+    # one FFT of F_n and one of its weight per grid, each grid on its own
+    coeffs = fn_float_coeffs(n)
+    alpha = np.array([math.comb(2 * j, j) / 4**j for j in range(k + 1)])
+    orders = np.abs(k - 2 * np.arange(k + 1))
 
-    def integrand(t):
-        f = np.polyval(coeffs, np.exp(2j * t))
-        return 2 * (n + 1) * legendre_eval(k, np.cos(t)) / (f.real**2 + f.imag**2)
-
-    def folded(t):
-        if k % 2 == 0:
-            return 2 * integrand(t)
-        v = integrand(np.concatenate([t, np.pi - t]))
-        return v[:t.size] + v[t.size:]
+    def value(points):
+        f = np.fft.rfft(np.bincount(2 * np.arange(n + 1) % points, coeffs, points))
+        chebyshev = np.fft.irfft(2 * (n + 1) / (f.real**2 + f.imag**2), points)
+        rho = np.minimum(orders % points, points - orders % points)
+        return float((alpha * alpha[::-1]) @ chebyshev[rho])
 
     start = quadrature_verify._predicted_points(n, 1e-12, 2) // 2 if k % 2 == 0 else BASE_POINTS
-    return _one_grid_ladder(_one_grid_periodic(folded, np.sum), 1e-12, 2, start)
+    return _one_grid_ladder(value, 1e-12, 2, start)
 
 
 def _one_grid_interval(n, i, j):
