@@ -4,7 +4,8 @@ A check is a function of ``(n)`` or ``(n, k)`` that returns its outcome: an
 exact ``LaurentPoly`` residual, which passes when it is the zero polynomial,
 or a list of problems, which passes when it is empty.  ``certificate`` turns
 an outcome into a ledger line, and ``certifies`` names the identity a check
-certifies.  A failed check is data, not an exception: callers collect
+certifies.  A check of a whole degree block calls ``certificate`` once per
+line.  A failed check is data, not an exception: callers collect
 certificates into a ledger and decide the exit status at the end.
 """
 
@@ -16,7 +17,8 @@ from typing import Callable
 
 from .ratpoly import LaurentPoly
 
-Outcome = LaurentPoly | list[str]
+# an ArithmeticError stands for the failure of an exact construction the check reads
+Outcome = LaurentPoly | list[str] | ArithmeticError
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,12 @@ def certificate(
     outcome: Outcome,
     k: int | None = None,
 ) -> Certificate:
-    """Certify that a residual is the zero polynomial, or that no problem was found."""
+    """Certify that a residual is the zero polynomial, or that no problem was found.
+
+    An ArithmeticError fails the certificate with its message as the detail.
+    """
+    if isinstance(outcome, ArithmeticError):
+        outcome = [str(outcome)]
     if not outcome:
         return Certificate(identity, n, k)
     if isinstance(outcome, LaurentPoly):
@@ -73,7 +80,7 @@ def certifies(identity: str) -> Callable[[Callable[..., Outcome]], Callable[...,
             try:
                 outcome = check(n, *k)
             except ArithmeticError as exc:
-                outcome = [str(exc)]
+                outcome = exc
             return certificate(identity, n, outcome, *k)
         return run
     return decorate

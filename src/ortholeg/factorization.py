@@ -394,10 +394,12 @@ def fn_roots(n: int) -> RootReport:
         modulus**2 <= float(fn_root_radius_bound(n)) * (1 + 1e-10))
     records = map(RootRecord, zs.real.tolist(), zs.imag.tolist(), modulus.tolist(),
                   residuals.tolist(), converged.tolist())
-    # the z-roots are exactly +-s, so their distances are |s_k - s_l| and |s_k + s_l|
-    apart = np.abs(s[:, None] - s[None, :])
-    np.fill_diagonal(apart, np.inf)
-    across = np.abs(s[:, None] + s[None, :])
+    # the z-roots are exactly +-s, so their distances are |s_k - s_l| and |s_k + s_l|;
+    # the rows of the conjugated s repeat those of half to the bit, since negating
+    # an imaginary part commutes with the difference and abs is symmetric
+    apart = np.abs(half[:, None] - s[None, :])
+    np.fill_diagonal(apart, np.inf)  # the first ceil(n/2) columns only
+    across = np.abs(half[:, None] + s[None, :])
     return RootReport(
         n=n,
         roots=tuple(records),

@@ -5,11 +5,14 @@ degree it certifies the five Legendre identities, then the block that
 ``degree_certificates`` returns: agreement of the three K_n forms, the
 spectral factorization, the recurrence forms of the factors, their ODE, the
 hypergeometric and closed-coefficient constructions, coefficient reversal,
-the partial-fraction identities for every admissible index, the support and
-leading-coefficient facts, the exact moments, and the exact weighted
-orthogonality.  The Legendre lines are kept in their own list and written
-first, for every degree, then the blocks in degree order.  Every exact
-construction of degree n is so built once, while its degree is in hand.
+the 2(n+1) partial-fraction splits, the support and leading-coefficient
+facts, the exact moments, and the exact weighted orthogonality.  Like the
+Legendre identities, the splits are one check of the whole degree
+(``partial_fractions.check_pfd``), whose one verdict serves all its lines;
+every other check makes one line.  The Legendre lines are kept in their own
+list and written first, for every degree, then the blocks in degree order.
+Every exact construction of degree n is so built once, while its degree is
+in hand.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ def degree_certificates(n: int) -> list[Certificate]:
         factorization.hypergeometric_check(n),
         factorization.check_fn_constructions(n),
         factorization.check_reversal(n),
-        *(partial_fractions.check_pfd_plus(n, k) for k in range(n + 1)),
-        *(partial_fractions.check_pfd_minus(n, k) for k in range(n + 1)),
+        *partial_fractions.check_pfd(n),
         partial_fractions.check_support(n),
         partial_fractions.leading_coefficient_checks(n),
         partial_fractions.check_moments(n),

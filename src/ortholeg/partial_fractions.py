@@ -34,17 +34,19 @@ every m = 0..2n, by induction up and down.  The recurrences are checked on
 the very objects the certificates name, by an integer pass that shares no
 code with ``build_abcd``.  If any of these checks fails, every residual of
 that degree is computed directly, so a failing certificate reports the same
-residual either way.
+residual either way.  ``check_pfd(n)`` reaches the verdict once per call, for
+all 2(n+1) certificates of the degree, on the objects that call has read; no
+verdict is kept across calls, so a rebuilt or tampered construction is always
+judged afresh.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .certificates import certifies
+from .certificates import Certificate, certificate, certifies
 from .factorization import FactorPair, factor_pair
 from .legendre import legendre_on_circle, legendre_product_expand
 from .ratpoly import JOUKOWSKI, LaurentPoly, satisfies_legendre_recurrence
@@ -81,63 +83,38 @@ def build_abcd(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]
     return family, tuple(p.recip().shift(2 * n - 2) for p in family)
 
 
-class _LastResult:
-    """One computed verdict, reused only for the very objects it was computed from.
-
-    The pfd checks of one degree share the verdict of the recurrence
-    transfer.  Keying it on the identity of the objects, not on the degree,
-    means that a rebuilt or replaced construction is always judged afresh.
-    """
-
-    def __init__(self):
-        self._last = ((), None)
-
-    def get(self, objects: tuple, compute):
-        seen, value = self._last
-        if len(seen) != len(objects) or not all(map(operator.is_, seen, objects)):
-            value = compute()
-            self._last = (objects, value)
-        return value
-
-
-_chain = _LastResult()
-
-
 def _direct_residual(n: int, p: LaurentPoly, u: LaurentPoly, v: LaurentPoly,
                      pair: FactorPair) -> LaurentPoly:
     # 2(n+1) z^{2n-1} P_m(J(z)) = U_m G_n + V_m F_n
     return (2 * (n + 1)) * p.shift(2 * n - 1) - (u * pair.g + v * pair.f)
 
 
-def _split_residual(n: int, m: int, k: int) -> LaurentPoly:
-    if not 0 <= k <= n:
-        raise ValueError("k must satisfy 0 <= k <= n")
+def _split_residuals(n: int) -> list[LaurentPoly]:
     u, v = build_abcd(n)
     pair = factor_pair(n)
-    p = tuple(legendre_on_circle(j) for j in range(2 * n + 1))
-
-    def transfer() -> bool:
-        # R_m = 2(n+1) z^{2n-1} P_m(J) - U_m G_n - V_m F_n satisfies the recurrence
-        # when P_m(J), U_m and V_m do, so R_n = R_{n-1} = 0 carries to every m = 0..2n
-        return (all(map(satisfies_legendre_recurrence, (p, u, v)))
-                and not any(_direct_residual(n, p[j], u[j], v[j], pair) for j in (n, n - 1)))
-
-    # the object count 3(2n+1) + 2 fixes n
-    if _chain.get((pair.f, pair.g, *p, *u, *v), transfer):
-        return LaurentPoly.zero()
-    return _direct_residual(n, p[m], u[m], v[m], pair)
+    p = [legendre_on_circle(m) for m in range(2 * n + 1)]
+    # R_m = 2(n+1) z^{2n-1} P_m(J) - U_m G_n - V_m F_n satisfies the recurrence
+    # when P_m(J), U_m and V_m do, so R_n = R_{n-1} = 0 carries to every m = 0..2n
+    if (all(map(satisfies_legendre_recurrence, (p, u, v)))
+            and not any(_direct_residual(n, p[m], u[m], v[m], pair) for m in (n, n - 1))):
+        return [LaurentPoly.zero()] * (2 * n + 1)
+    return [_direct_residual(n, p[m], u[m], v[m], pair) for m in range(2 * n + 1)]
 
 
-@certifies("pfd-plus")
-def check_pfd_plus(n: int, k: int) -> LaurentPoly:
-    """Certify 2(n+1) z^{2n-1} P_{n+k}(J) = U_{n+k} G_n + V_{n+k} F_n (A_k, B_k), 0 <= k <= n."""
-    return _split_residual(n, n + k, k)
+def check_pfd(n: int) -> list[Certificate]:
+    """Certify 2(n+1) z^{2n-1} P_m(J) = U_m G_n + V_m F_n for every m = 0..2n.
 
-
-@certifies("pfd-minus")
-def check_pfd_minus(n: int, k: int) -> LaurentPoly:
-    """Certify 2(n+1) z^{2n-1} P_{n-k}(J) = U_{n-k} G_n + V_{n-k} F_n (C_k, D_k), 0 <= k <= n."""
-    return _split_residual(n, n - k, k)
+    Returns the ``pfd-plus`` lines k = 0..n, for m = n + k (A_k, B_k), then
+    the ``pfd-minus`` lines k = 0..n, for m = n - k (C_k, D_k).  An
+    ArithmeticError from a construction the split reads fails every line,
+    with its message as the detail.
+    """
+    try:
+        residuals = _split_residuals(n)
+    except ArithmeticError as exc:
+        residuals = [exc] * (2 * n + 1)
+    return ([certificate("pfd-plus", n, residuals[n + k], k) for k in range(n + 1)]
+            + [certificate("pfd-minus", n, residuals[n - k], k) for k in range(n + 1)])
 
 
 @certifies("pfd-support")

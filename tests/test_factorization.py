@@ -355,13 +355,30 @@ class TestRootRecords:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 200, 800])
     def test_separation_matches_the_full_distance_matrix(self, n):
-        # the two n x n blocks over +-s give the 2n x 2n matrix's minimum to the bit
+        # the blocks over +-s give the 2n x 2n matrix's minimum to the bit
         report = fn_roots(n)
         zs = np.array([complex(r.re, r.im) for r in report.roots])
         diffs = np.abs(zs[:, None] - zs[None, :])
         np.fill_diagonal(diffs, np.inf)
         assert type(report.min_separation) is float
         assert report.min_separation == float(diffs.min())
+
+    def test_separation_over_the_polished_half_is_that_of_every_square_root(self, monkeypatch):
+        # oracle: the two n x n blocks over all n square roots s, the polished
+        # half and its conjugates
+        polished = []
+        original = factorization._aberth_polish
+        monkeypatch.setattr(factorization, "_aberth_polish",
+                            lambda coeffs, roots: polished.append(original(coeffs, roots))
+                            or polished[-1])
+        for n in [*range(1, 201), 800]:
+            report = fn_roots(n)
+            half = np.sqrt(polished[-1])
+            s = np.concatenate((half, half[:n // 2].conj()))
+            apart = np.abs(s[:, None] - s[None, :])
+            np.fill_diagonal(apart, np.inf)
+            across = np.abs(s[:, None] + s[None, :])
+            assert report.min_separation == float(min(apart.min(), across.min())), n
 
 
 class TestRootRadiusBound:

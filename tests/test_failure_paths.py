@@ -105,6 +105,25 @@ def test_swapped_factor_coefficients_fail_the_root_radius_check(swapped_fn, tmp_
         (1, "pass"), (2, "pass"), (3, "fail"), (4, "fail")]
 
 
+@pytest.mark.parametrize("construction", ["build_abcd", "factor_pair"])
+def test_a_failing_construction_fails_every_line_of_the_degree_block(
+        construction, monkeypatch, tmp_path, capsys):
+    def raises(n):
+        raise ArithmeticError("tampered")
+
+    monkeypatch.setattr(partial_fractions, construction, raises)
+    certs = partial_fractions.check_pfd(2)
+    assert [(c.identity, c.n, c.k) for c in certs] == (
+        [("pfd-plus", 2, k) for k in range(3)] + [("pfd-minus", 2, k) for k in range(3)])
+    assert all((c.status, c.detail) == ("fail", "tampered") for c in certs)
+    out = tmp_path / "ledger.jsonl"
+    assert main(["verify-identities", "--n-max", "2", "--output", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    pfd = [(c["status"], c["detail"]) for c in lines if c["identity"] in ("pfd-plus", "pfd-minus")]
+    assert pfd == [("fail", "tampered")] * 10
+
+
 def test_unpolished_roots_are_not_converged(monkeypatch, tmp_path, capsys):
     # the certification recomputes each residual, so it does not trust the polisher
     monkeypatch.setattr(factorization, "_aberth_polish", lambda coeffs, roots: roots)

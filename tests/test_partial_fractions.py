@@ -10,8 +10,7 @@ from ortholeg.partial_fractions import (
     build_abcd,
     check_moments,
     check_orthogonality,
-    check_pfd_minus,
-    check_pfd_plus,
+    check_pfd,
     check_support,
     leading_coefficient_checks,
     moments_table,
@@ -84,13 +83,12 @@ class TestPfdPlus:
 
     def test_all_admissible(self):
         for n in range(1, 26):
-            for k in range(n + 1):
-                assert check_pfd_plus(n, k).passed
+            lines = [cert.passed for cert in check_pfd(n) if cert.identity == "pfd-plus"]
+            assert lines == [True] * (n + 1)
 
-    def test_beyond_n(self):
-        # the family stops at P_{2n}, so k > n is out of range
+    def test_degree_zero(self):
         with pytest.raises(ValueError):
-            check_pfd_plus(3, 4)
+            check_pfd(0)
 
 
 class TestPfdMinus:
@@ -100,16 +98,14 @@ class TestPfdMinus:
         assert combo == lp({1: 4})
 
     def test_degree_two_bottom(self):
-        assert check_pfd_minus(2, 2).passed
+        cert = check_pfd(2)[-1]
+        assert (cert.identity, cert.n, cert.k) == ("pfd-minus", 2, 2)
+        assert cert.passed
 
     def test_all_admissible(self):
         for n in range(1, 26):
-            for k in range(n + 1):
-                assert check_pfd_minus(n, k).passed
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            check_pfd_minus(3, 4)
+            lines = [cert.passed for cert in check_pfd(n) if cert.identity == "pfd-minus"]
+            assert lines == [True] * (n + 1)
 
 
 class TestSupport:
@@ -279,11 +275,10 @@ def _failing_pfd_certificates(degrees):
     # asserts that every pfd certificate of these degrees is its direct copy
     failed = 0
     for n in degrees:
-        for k in range(n + 1):
-            for check, direct in ((check_pfd_plus, direct_plus), (check_pfd_minus, direct_minus)):
-                cert = check(n, k)
-                assert cert == direct(n, k), (check.__name__, n, k)
-                failed += not cert.passed
+        certs = check_pfd(n)
+        assert certs == ([direct_plus(n, k) for k in range(n + 1)]
+                         + [direct_minus(n, k) for k in range(n + 1)]), n
+        failed += sum(not cert.passed for cert in certs)
     return failed
 
 
@@ -347,8 +342,8 @@ def test_pfd_certificates_are_the_direct_ones_with_a_tampered_legendre_polynomia
 
 
 def test_a_verdict_is_not_reused_for_rebuilt_members(monkeypatch):
-    # the clean ledger leaves degree 3's members cached and its chain verdict made;
-    # the tamper hands back the same objects but one
+    # the clean ledger leaves degree 3's members cached; the tamper hands back
+    # the same objects but one
     assert all(c.passed for c in identity_ledger(3))
     original = partial_fractions.build_abcd
 
@@ -357,9 +352,10 @@ def test_a_verdict_is_not_reused_for_rebuilt_members(monkeypatch):
         return (tuple(_perturbed(u, 4)) if n == 3 else u), v
 
     monkeypatch.setattr(partial_fractions, "build_abcd", tampered)
-    cert = check_pfd_plus(3, 1)
+    cert = check_pfd(3)[1]
+    assert (cert.identity, cert.k) == ("pfd-plus", 1)
     assert cert.status == "fail" and cert.residual_terms > 0
-    assert check_pfd_plus(2, 1).passed
+    assert all(cert.passed for cert in check_pfd(2))
 
 
 def test_pfd_checks_of_a_warm_degree_pack_at_most_four_products(monkeypatch):
@@ -374,8 +370,7 @@ def test_pfd_checks_of_a_warm_degree_pack_at_most_four_products(monkeypatch):
     packed = []
     original = ratpoly._kronecker
     monkeypatch.setattr(ratpoly, "_kronecker", lambda a, b: packed.append(1) or original(a, b))
-    for k in range(n + 1):
-        assert check_pfd_plus(n, k).passed and check_pfd_minus(n, k).passed
+    assert all(cert.passed for cert in check_pfd(n))
     assert len(packed) <= 4
 
 
