@@ -1,6 +1,6 @@
 """Pass/fail certificates emitted by the exact identity checks.
 
-A check is a function of ``(n)`` or ``(n, k)`` that returns its outcome: an
+A check is a function of the degree ``n`` that returns its outcome: an
 exact ``LaurentPoly`` residual, which passes when it is the zero polynomial,
 or a list of problems, which passes when it is empty.  ``certificate`` turns
 an outcome into a ledger line, and ``certifies`` names the identity a check
@@ -67,8 +67,8 @@ def certificate(
 
 
 def certifies(identity: str) -> Callable[[Callable[..., Outcome]], Callable[..., Certificate]]:
-    """Decorate a check ``check(n)`` or ``check(n, k)`` so it returns the certificate
-    of ``identity`` for the residual or the problem list the check returns.
+    """Decorate a check ``check(n)`` so it returns the certificate of
+    ``identity`` for the residual or the problem list the check returns.
 
     An exact construction the check relies on raises ArithmeticError when it
     fails its own certification; the decorated check reports that as a
@@ -76,11 +76,11 @@ def certifies(identity: str) -> Callable[[Callable[..., Outcome]], Callable[...,
     """
     def decorate(check):
         @functools.wraps(check)
-        def run(n: int, *k: int) -> Certificate:
+        def run(n: int) -> Certificate:
             try:
-                outcome = check(n, *k)
+                outcome = check(n)
             except ArithmeticError as exc:
                 outcome = exc
-            return certificate(identity, n, outcome, *k)
+            return certificate(identity, n, outcome)
         return run
     return decorate

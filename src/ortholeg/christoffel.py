@@ -19,8 +19,10 @@ exact sum of (2k+1)/2 P_k^2, which the Legendre Christoffel-Darboux identity
 reads too; that sum carries each degree into the next by one square.  The
 Christoffel-Darboux form is ``legendre._cd_product(n)``, the product that
 the Legendre Christoffel-Darboux identity reads too.
-Floating point evaluates the sum form only (``_pstar_kn``), which is
-positive on [-1, 1].
+In floating point the Q basis, the fit and the periodic Gram read the sum
+form (``_kn_sum``), which is positive on [-1, 1].  The interval form of
+``quadrature_verify`` reads the closed form instead, and its contour form
+reads |F_n|^2 / (2(n+1)), so its three forms read K_n three ways.
 
 The weighted basis is Q_j = P_j* / sqrt(K_n); its squares sum to exactly
 n + 1 at every point of [-1, 1], which is the optimal stability factor for
@@ -29,14 +31,13 @@ arcsine-sampled least squares.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .certificates import certifies
-from .legendre import _S, _cd_product, _legendre_rows, _square_sum, legendre_all, legendre_on_circle
+from .legendre import _S, _cd_product, _square_sum, legendre_all, legendre_on_circle
 from .ratpoly import LaurentPoly
 
 
@@ -45,47 +46,35 @@ def _pstar_scale(n: int) -> np.ndarray:
     return np.sqrt(np.arange(1, 2 * n + 2, 2) / 2)
 
 
-def _kn_sum(n: int, rows, keep=()) -> tuple[np.ndarray, dict]:
-    """K_n(x) in sum form from the rows P_0*(x), ..., P_n*(x), and the P_k*(x) with k in ``keep``.
+def _kn_sum(n: int, rows) -> np.ndarray:
+    """K_n(x) in sum form from the rows P_0*(x), ..., P_n*(x).
 
     The rows come scaled to P_k* = sqrt((2k+1)/2) P_k by the factors of
     ``_pstar_scale``, each row by one product, whatever holds them: one
-    block, two parity blocks or a stream.  The squares are added in degree
-    order into one vector, so K_n keeps its bits whichever holds the rows.
+    block or two parity blocks.  The squares are added in degree order into
+    one vector, so K_n keeps its bits whichever holds the rows.
     """
-    kept = {}
     for k, row in enumerate(rows):
-        if k in keep:
-            kept[k] = row
         if k == 0:
             total = row * row
             square = np.empty_like(total)
         else:
             total += np.multiply(row, row, out=square)
     total /= n + 1
-    return total, kept
+    return total
+
+
+def _pstar(n: int, x) -> np.ndarray:
+    """P_0*(x), ..., P_n*(x) stacked along axis 0, scaled in place by one broadcast product."""
+    pstar = legendre_all(n, x)
+    pstar *= _pstar_scale(n).reshape((n + 1,) + (1,) * (pstar.ndim - 1))
+    return pstar
 
 
 def _pstar_kn(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """P_0*(x), ..., P_n*(x) stacked along axis 0, and K_n(x) in sum form.
-
-    The block is scaled in place, by one broadcast product.
-    """
-    pstar = legendre_all(n, x)
-    pstar *= _pstar_scale(n).reshape((n + 1,) + (1,) * (pstar.ndim - 1))
-    return pstar, _kn_sum(n, pstar)[0]
-
-
-def _pstar_pair_kn(n: int, i: int, j: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P_i*(x), P_j*(x) and K_n(x) in sum form, holding two rows of the recurrence.
-
-    Each row of the stream is scaled into a new array and passes through
-    ``_kn_sum`` as those of ``_pstar_kn`` do, so the three values are bit for
-    bit those of ``_pstar_kn``; no (n+1)-row block is allocated.
-    """
-    rows = map(operator.mul, _legendre_rows(n, x), _pstar_scale(n))
-    kn, kept = _kn_sum(n, rows, keep=(i, j))
-    return kept[i], kept[j], kn
+    """The block ``_pstar(n, x)`` and K_n(x) in sum form."""
+    pstar = _pstar(n, x)
+    return pstar, _kn_sum(n, pstar)
 
 
 @lru_cache(maxsize=1)
@@ -145,7 +134,7 @@ def _q_parity(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     scale = _pstar_scale(n)
     for parity, block in enumerate(blocks):
         block *= scale[parity::2].reshape((-1,) + (1,) * np.ndim(x))
-    root = np.sqrt(_kn_sum(n, rows)[0])
+    root = np.sqrt(_kn_sum(n, rows))
     for block in blocks:
         block /= root
     return blocks

@@ -62,14 +62,20 @@ def fn_closed_coeffs(n: int) -> LaurentPoly:
     return LaurentPoly({2 * k: Fraction(c, scale) for k, c in enumerate(numerators)})
 
 
+@lru_cache(maxsize=1)
 def fn_float_coeffs(n: int) -> np.ndarray:
     """F_n's coefficients of w^0, ..., w^n (w = z^2), each correctly rounded to float.
 
     The numeric paths evaluate F_n from this array.  Integer true division
-    rounds correctly, and no exact polynomial is built.
+    rounds correctly, and no exact polynomial is built.  The cache holds one
+    degree, as ``factor_pair``'s does: ``fn_roots`` and the contour moment of
+    the same degree share one build.  The array is read-only, as every
+    caller gets the same one.
     """
     numerators, scale = _fn_closed_numerators(n), 4**n
-    return np.array([c / scale for c in numerators])
+    coeffs = np.array([c / scale for c in numerators])
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _hypergeometric_series(n: int) -> LaurentPoly:

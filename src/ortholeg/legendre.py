@@ -128,7 +128,7 @@ def _central_binomials(n: int) -> tuple[int, ...]:
     """The central binomials C(2j, j) for j = 0..n, and possibly more.
 
     One cached integer table, grown by doubling, serves every degree: the
-    exact P_n(J) here and the contour weights of ``quadrature_verify``.
+    exact P_n(J) here and the cosine coefficients of ``quadrature_verify``.
     """
     return _central_table(1 << n.bit_length())
 

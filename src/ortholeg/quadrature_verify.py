@@ -9,7 +9,8 @@ Three equivalent integral forms are computed:
 - the contour form over the unit circle via z = e^{it}, by the same rule,
   each grid's sum taken by FFTs, and
 - the original interval form with the arcsine weight, by Gauss-Chebyshev
-  nodes (the same change of variables, sampled at midpoints).
+  nodes (the same change of variables, sampled at midpoints), each grid's
+  values taken by one inverse real FFT.
 
 The integrands are rational in (cos t, sin t) and analytic in a strip, so
 grid doubling converges geometrically; no fixed Gauss rule on [-1, 1] would
@@ -32,9 +33,16 @@ coefficients, so each grid takes one FFT of F_n's coefficients, for the
 weight, and one of the weight, for all its Chebyshev moments at once
 (``contour_moment_numeric``); no Legendre recurrence runs.
 
-The interval form's midpoint nodes do not nest, but they are symmetric about
-x = 0: an even i + j averages over the positive half of them, and an odd
-i + j over all of them.
+The interval form's midpoint nodes do not nest, so each grid is evaluated
+afresh, and no Legendre recurrence runs: P_i, P_j and P_n are cosine series
+of the closed coefficients a_h a_{k-h}, and dP_n/dtheta the matching sine
+series, so one inverse real FFT of length 2M takes all four at the M nodes
+(``_on_midpoints``), with orders past M folded onto the grid.  It reads K_n
+in closed form, ((n+1)^2 P_n^2 + (dP_n/dtheta)^2) / (2(n+1)), a sum of two
+non-negative terms.  The three forms thus read K_n three ways: the periodic
+Gram as the recurrence's sum of squares, the contour form as
+|F_n|^2 / (2(n+1)), and the interval form in closed form, so a fault in one
+reading shows as a disagreement between the forms.
 
 Every root of F_n has |z|^2 <= ``fn_root_radius_bound(n)`` < 1, so the
 integrands are analytic in a strip whose half-width the bound gives, and the
@@ -44,13 +52,13 @@ of its predicted grid, so the first doubling it evaluates can meet the
 tolerance.
 
 Every refinement thus evaluates its start grid and that first doubling, so
-``_refine`` asks for both in one call.  The periodic and interval forms
-evaluate the new points of both grids in one sweep of their integrand.  On
-grids of tens to a few thousand points a sweep of the Legendre recurrence
-costs mostly its numpy calls, a few per degree, not its length: at n = 20 to
-200 one sweep over both grids costs 0.5 to 0.8 times two sweeps.  Each grid
-is then summed on its own slice of the sweep, in the order of one sweep per
-grid, so every value keeps its bits.  The Gram holds its sweep as two blocks
+``_refine`` asks for both in one call.  The periodic form evaluates the new
+points of both grids in one sweep of its integrand.  On grids of tens to a
+few thousand points a sweep of the Legendre recurrence costs mostly its
+numpy calls, a few per degree, not its length: at n = 20 to 200 one sweep
+over both grids costs 0.5 to 0.8 times two sweeps.  Each grid is then summed
+on its own slice of the sweep, in the order of one sweep per grid, so every
+value keeps its bits.  The Gram holds its sweep as two blocks
 of rows, the even and the odd degrees of the Q basis, which its two
 symmetric products use as they are, so no array of the pass holds all
 n + 1 rows of both grids.
@@ -63,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .christoffel import _pstar_pair_kn, _q_parity
+from .christoffel import _q_parity
 from .factorization import fn_float_coeffs, fn_root_radius_bound
 from .legendre import _central_binomials
 
@@ -277,9 +285,7 @@ def contour_moment_numeric(n: int, k: int) -> complex:
     if not 0 <= k <= 2 * n:
         raise ValueError("k must satisfy 0 <= k <= 2n")
     coeffs = fn_float_coeffs(n)
-    central = _central_binomials(k)
-    alpha = np.array([central[j] / (1 << 2 * j) for j in range(k + 1)])
-    weights = alpha * alpha[::-1]
+    weights = _legendre_cosines(k)
     orders = np.abs(k - 2 * np.arange(k + 1))
 
     def moments(*grids: int) -> list[float]:
@@ -296,6 +302,42 @@ def contour_moment_numeric(n: int, k: int) -> complex:
     return complex(_refine(moments, 1e-12, 2, start)[0])
 
 
+def _legendre_cosines(k: int) -> np.ndarray:
+    """The a_h a_{k-h}, h = 0..k, of P_k(cos t) = sum_h a_h a_{k-h} cos((k - 2h) t).
+
+    a_h = C(2h, h) / 4^h, each correctly rounded: the closed coefficients of
+    ``legendre.legendre_on_circle``, from the same cached central binomials.
+    """
+    central = _central_binomials(k)
+    alpha = np.array([central[h] / (1 << 2 * h) for h in range(k + 1)])
+    return alpha * alpha[::-1]
+
+
+def _on_midpoints(orders: np.ndarray, coeffs: np.ndarray, rows: np.ndarray, points: int) -> np.ndarray:
+    """Real series f_s(t) = sum_h c_h e^{i r_h t} at t_m = (2m - 1) pi / (2M), by one inverse real FFT.
+
+    Term h has the integer order ``orders[h]``, the complex coefficient
+    ``coeffs[h]`` and the series number ``rows[h]``, numbered from 0, the
+    last term in the last series; each f_s must be real for real t.  With
+    M = ``points`` and N = 2M, e^{i r t_m} = e^{i pi r / N} e^{2 pi i r (m - 1) / N}:
+    each c_h is twiddled by e^{i pi r_h / N}, of period 2N in r_h, and lands
+    in bin r_h mod N.  As f_s is real, a bin b > M adds its conjugate to bin
+    N - b, and bins 0 and M, whose real part alone ``irfft`` reads, count
+    twice.  The inverse transform then gives f_s / M, and M is a power of
+    two, so the product by M is exact.  Returns f_s(t_1), ..., f_s(t_M) in
+    row s: the values at the nodes x_m = cos(t_m) of the M-point
+    Gauss-Chebyshev rule.
+    """
+    size = 2 * points
+    bins = orders % size
+    twiddled = coeffs * np.exp(1j * np.pi * (orders % (2 * size)) / size)
+    twiddled = np.where(bins > points, twiddled.conj(), twiddled)
+    spectrum = np.zeros((rows[-1] + 1, points + 1), dtype=complex)
+    np.add.at(spectrum, (rows, np.minimum(bins, size - bins)), twiddled)
+    spectrum[:, [0, points]] *= 2
+    return np.fft.irfft(spectrum, size)[:, :points] * points
+
+
 def interval_form_numeric(n: int, i: int, j: int) -> float:
     """The interval form with the arcsine weight, by Gauss-Chebyshev nodes.
 
@@ -305,23 +347,44 @@ def interval_form_numeric(n: int, i: int, j: int) -> float:
     the change of variables against the trapezoid path numerically.  The
     node count M is doubled until successive values agree to 1e-13.
 
+    K_n is read in its closed form, K_n = ((n+1)^2 P_n^2 + (dP_n/dtheta)^2)
+    / (2(n+1)) on x = cos(theta): the circle form that ``christoffel.kn_exact``
+    certifies, where (theta P_n)^2 = -(dP_n/dtheta)^2 on |z| = 1.  Both
+    terms are non-negative, so the denominator is positive with no
+    cancellation.  The three forms so read K_n three ways: the periodic Gram
+    as the sum of squares of the recurrence, the contour form as
+    |F_n|^2 / (2(n+1)), and this form in closed form.
+
+    No Legendre recurrence runs.  P_i, P_j, P_n and dP_n/dtheta are cosine
+    and sine series of known coefficients, P_k(cos t) = sum_h a_h a_{k-h}
+    cos((k - 2h) t) (``_legendre_cosines``), so each grid takes all four at
+    its M nodes by one inverse real FFT of length 2M (``_on_midpoints``);
+    orders past M fold onto the grid, as cos(r t_m) changes sign every 2M
+    in r.  The mean is taken over all M nodes.
+
     The M midpoint nodes resolve the integrand as the 2M-point periodic grid
-    does, so the refinement starts at a quarter of the predicted periodic
-    grid.  The nodes are symmetric about x = 0 and the integrand is even in x
-    for an even i + j, so its mean is taken over the M/2 positive nodes.  An
-    odd i + j gives an integrand odd in x, averaged over all M nodes, whose
-    first doubling agrees, so it starts at BASE_POINTS.
+    does, so for an even i + j the refinement starts at a quarter of the
+    predicted periodic grid.  An odd i + j gives an integrand odd in x, 0 up
+    to rounding, whose first doubling agrees, so it starts at BASE_POINTS.
     """
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("indices must satisfy 0 <= i, j <= n")
+    # P_i, P_j, P_n and dP_n/dt as sums of c_h e^{i r_h t}, r_h = k - 2h: the
+    # cosines a_h a_{k-h} and, for dP_n/dt, i r_h times those of P_n
+    degrees = (i, j, n, n)
+    orders = np.concatenate([k - 2 * np.arange(k + 1) for k in degrees])
+    pn = _legendre_cosines(n)
+    coeffs = np.concatenate((_legendre_cosines(i), _legendre_cosines(j), pn, 1j * orders[-n - 1:] * pn))
+    rows = np.repeat(np.arange(4), [k + 1 for k in degrees])
+    scale = math.sqrt((2 * i + 1) * (2 * j + 1)) / 2
 
     def values(*grids: int) -> list[float]:
-        # the nodes of every grid in one recurrence sweep, each grid's mean on its slice
-        nodes = [np.arange(1, (p // 2 if (i + j) % 2 == 0 else p) + 1) for p in grids]
-        x = np.concatenate([np.cos((2 * m - 1) * np.pi / (2 * p)) for m, p in zip(nodes, grids)])
-        pi, pj, kn = _pstar_pair_kn(n, i, j, x)
-        ends = np.cumsum([0] + [m.size for m in nodes])
-        return [float(np.mean(pi[a:b] * pj[a:b] / kn[a:b])) for a, b in zip(ends, ends[1:])]
+        means = []
+        for points in grids:
+            pi, pj, pn, dpn = _on_midpoints(orders, coeffs, rows, points)
+            weight = 2 * (n + 1) / ((n + 1) ** 2 * (pn * pn) + dpn * dpn)  # 1 / K_n
+            means.append(float(np.mean(pi * pj * weight)) * scale)
+        return means
 
     start = _predicted_points(n, 1e-13, 2) // 4 if (i + j) % 2 == 0 else BASE_POINTS
     return _refine(values, 1e-13, 2, start)[0]

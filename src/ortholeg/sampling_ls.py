@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .christoffel import _pstar_kn, q_basis_all
+from .christoffel import _pstar, q_basis_all
 
 GENERATOR_NAME = "philox4x64"
 # The normal equations G c = D^T y / count lose accuracy like kappa(G) * eps,
@@ -175,7 +175,7 @@ def predict(report: FitReport, x):
     xs = np.asarray(x, dtype=float)
     if not np.all(np.abs(xs) <= 1):  # also rejects NaN
         raise ValueError("the fit is defined on [-1, 1]")
-    result = np.tensordot(report.coefficients, _pstar_kn(report.n, xs)[0], axes=(0, 0))
+    result = np.tensordot(report.coefficients, _pstar(report.n, xs), axes=(0, 0))
     if np.ndim(x) == 0:
         return float(result)
     return result

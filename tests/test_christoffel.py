@@ -10,7 +10,6 @@ import pytest
 from ortholeg import cli, legendre
 from ortholeg.christoffel import (
     _pstar_kn,
-    _pstar_pair_kn,
     check_kn_forms,
     kn_exact,
     q_basis_all,
@@ -31,17 +30,6 @@ def test_sum_form_hand_expansion_degree_one():
     # (1/2 + 3x^2/2)/2 = (3x^2+1)/4
     xs = RNG.uniform(-1, 1, 50)
     assert np.allclose(_pstar_kn(1, xs)[1], (3 * xs**2 + 1) / 4, atol=1e-15)
-
-
-def test_pair_matches_block_bit_for_bit():
-    xs = RNG.uniform(-1, 1, 301)
-    for n in (0, 1, 5, 40, 200):
-        pstar, kn = _pstar_kn(n, xs)
-        for i, j in ((0, 0), (0, n), (n // 2, n // 3), (n, n)):
-            pi, pj, kn_pair = _pstar_pair_kn(n, i, j, xs)
-            assert np.array_equal(pi, pstar[i])
-            assert np.array_equal(pj, pstar[j])
-            assert np.array_equal(kn_pair, kn)
 
 
 # the block built out of place: one new array per operation, the squares
@@ -146,17 +134,6 @@ def test_degree_order_is_numpys_order_on_a_grid(n, shape):
     x = _BLOCK_POINTS[shape]
     pstar = _reference_pstar_kn(n, x)[0]
     assert _identical(_pstar_kn(n, x)[1], np.sum(pstar * pstar, axis=0) / (n + 1))
-
-
-@pytest.mark.parametrize("size", [1, 2, 3, 64, 1025])
-def test_pair_matches_block_bit_for_bit_on_every_grid(size):
-    xs = np.cos((2 * np.arange(1, size + 1) - 1) * np.pi / (2 * size))
-    for n in (0, 1, 10, 160):
-        pstar, kn = _pstar_kn(n, xs)
-        for i, j in ((0, n), (n // 2, n // 3)):
-            pi, pj, kn_pair = _pstar_pair_kn(n, i, j, xs)
-            assert _identical(pi, pstar[i]) and _identical(pj, pstar[j])
-            assert _identical(kn_pair, kn)
 
 
 def test_value_at_one():

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ortholeg import factorization
+from ortholeg import factorization, quadrature_verify
 from ortholeg.factorization import (
     FactorPair,
     check_fejer_riesz,
@@ -330,6 +330,31 @@ class TestPatersonStockmeyer:
         monkeypatch.setattr(factorization, "_paterson_stockmeyer", perturbed)
         for n in (1, 5, 40, 200):
             assert not any(r.converged for r in fn_roots(n).roots)
+
+
+class TestFloatCoefficients:
+    def test_one_read_only_build_per_degree_serves_both_callers(self, monkeypatch):
+        # fn_roots and the contour moment of a degree share one cached array,
+        # which no caller can write
+        seen, builds = [], []
+        cached, numerators = factorization.fn_float_coeffs, factorization._fn_closed_numerators
+        recording = lambda n: seen.append(cached(n)) or seen[-1]
+        monkeypatch.setattr(factorization, "fn_float_coeffs", recording)
+        monkeypatch.setattr(quadrature_verify, "fn_float_coeffs", recording)
+        monkeypatch.setattr(factorization, "_fn_closed_numerators",
+                            lambda n: builds.append(n) or numerators(n))
+        for n in (7, 40, 200):
+            cached.cache_clear()
+            seen.clear()
+            builds.clear()
+            fn_roots(n)
+            quadrature_verify.contour_moment_numeric(n, 0)
+            assert builds == [n] and len(seen) == 2 and seen[0] is seen[1]
+            assert np.array_equal(seen[0], [c / 4**n for c in numerators(n)])
+            with pytest.raises(ValueError):
+                seen[0][0] = 1.0
+            with pytest.raises(ValueError):
+                seen[0][::-1][0] = 1.0
 
 
 class TestRootRecords:

@@ -17,7 +17,7 @@ from ortholeg.partial_fractions import (
     orthogonality_exact,
 )
 from ortholeg import christoffel, factorization, legendre, partial_fractions, ratpoly
-from ortholeg.certificates import certifies
+from ortholeg.certificates import certificate, certifies
 from ortholeg.factorization import FactorPair, fn_from_definition
 from ortholeg.ledger import identity_ledger
 from ortholeg.legendre import legendre_on_circle, legendre_product_expand
@@ -267,8 +267,21 @@ def _direct_split_residual(n, m, k):
     return target - (u[m] * pair.g + v[m] * pair.f)
 
 
-direct_plus = certifies("pfd-plus")(lambda n, k: _direct_split_residual(n, n + k, k))
-direct_minus = certifies("pfd-minus")(lambda n, k: _direct_split_residual(n, n - k, k))
+def _direct_certificate(identity, n, m, k):
+    # an exact construction that fails its own certification fails the line, as in certifies
+    try:
+        outcome = _direct_split_residual(n, m, k)
+    except ArithmeticError as exc:
+        outcome = exc
+    return certificate(identity, n, outcome, k)
+
+
+def direct_plus(n, k):
+    return _direct_certificate("pfd-plus", n, n + k, k)
+
+
+def direct_minus(n, k):
+    return _direct_certificate("pfd-minus", n, n - k, k)
 
 
 def _failing_pfd_certificates(degrees):

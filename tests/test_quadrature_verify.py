@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ortholeg import christoffel, quadrature_verify
-from ortholeg.christoffel import _pstar_kn, _pstar_pair_kn, q_basis_all
+from ortholeg.christoffel import _pstar_kn, q_basis_all
 from ortholeg.factorization import fn_float_coeffs
 from ortholeg.legendre import legendre_eval
 from ortholeg.partial_fractions import moments_table
@@ -221,7 +221,7 @@ class TestContourMoment:
         # moves mu_0 off 2 by far more than the acceptance tolerance
         for index in sorted({0, n // 2, n}):
             def scaled(degree, index=index):
-                coeffs = fn_float_coeffs(degree)
+                coeffs = fn_float_coeffs(degree).copy()
                 coeffs[index] *= 1.01
                 return coeffs
 
@@ -244,23 +244,59 @@ class TestIntervalForm:
         assert interval_form_numeric(2, 1, 1) == pytest.approx(1.0, abs=1e-10)
         assert interval_form_numeric(2, 0, 2) == pytest.approx(0.0, abs=1e-10)
 
-    def test_matches_block_reference_bit_for_bit(self):
-        # the whole (n+1)-row block at every grid, as before rows were streamed,
-        # on the positive half of the nodes for an even i + j
-        def block_value(n, i, j, points):
-            m = np.arange(1, (points // 2 if (i + j) % 2 == 0 else points) + 1)
-            pstar, kn = _pstar_kn(n, np.cos((2 * m - 1) * np.pi / (2 * points)))
-            return float(np.mean(pstar[i] * pstar[j] / kn))
+    @pytest.mark.parametrize("n, i, j", [(0, 0, 0), (7, 2, 5), (60, 17, 17), (198, 119, 119),
+                                         (200, 3, 150)])
+    def test_stops_on_the_grid_of_the_block_reference(self, n, i, j, monkeypatch):
+        # oracle: the recurrence block and K_n in sum form at every grid,
+        # refined from BASE_POINTS; the form stops on its grid, and lands
+        # nearer delta_ij than the 1.6e-14 the reference itself can be off by
+        _same_grid_nearer_delta(monkeypatch, n, i, j)
 
-        for n, i, j in ((0, 0, 0), (7, 2, 5), (60, 17, 17), (198, 119, 119), (200, 3, 150)):
-            reference = quadrature_verify._refine(
-                lambda *grids: [block_value(n, i, j, p) for p in grids], 1e-13, n + 1)[0]
-            assert interval_form_numeric(n, i, j) == reference
+    @pytest.mark.parametrize("i, j", [(3, 150), (99, 100), (0, 199), (200, 1)])
+    def test_folded_orders_match_the_block_reference(self, i, j, monkeypatch):
+        # an odd i + j starts at 64 nodes, a transform of length 128, so the
+        # orders up to 200 of P_200 fold onto the grid
+        levels = _same_grid_nearer_delta(monkeypatch, 200, i, j)
+        assert levels[0][0] == BASE_POINTS
+
+    @pytest.mark.parametrize("n, i, j", [(5, 2, 2), (40, 3, 5), (120, 60, 60), (200, 3, 150)])
+    def test_keeps_its_bits_when_the_sum_form_moves(self, n, i, j, monkeypatch):
+        # the interval form reads K_n in closed form, never the sum form of
+        # the recurrence: shifting the sum form moves the periodic Gram far
+        # off I, and the interval form not at all
+        value = interval_form_numeric(n, i, j)
+        kn_sum = christoffel._kn_sum
+        monkeypatch.setattr(christoffel, "_kn_sum", lambda *a: kn_sum(*a) + 1e-6)
+        assert np.max(np.abs(orthogonality_numeric(n).gram - np.eye(n + 1))) > 1e-10
+        assert interval_form_numeric(n, i, j) == value
+
+    @pytest.mark.parametrize("n, i", [(1, 0), (5, 2), (40, 17), (200, 100), (200, 0)])
+    def test_scaled_closed_coefficients_of_p_n_move_it_off_delta(self, n, i, monkeypatch):
+        # P_n scaled by 1 + 1e-6 scales the closed form of K_n by (1 + 1e-6)^2
+        cosines = quadrature_verify._legendre_cosines
+        monkeypatch.setattr(quadrature_verify, "_legendre_cosines",
+                            lambda k: cosines(k) * (1 + 1e-6) if k == n else cosines(k))
+        assert abs(interval_form_numeric(n, i, i) - 1.0) > 1e-10
 
     def test_matches_theta_form(self):
         for n, i, j in ((3, 1, 1), (5, 2, 4), (8, 0, 0), (8, 3, 3)):
             gram = orthogonality_numeric(n, tol=1e-12).gram
             assert interval_form_numeric(n, i, j) == pytest.approx(gram[i, j], abs=1e-12)
+
+
+def _same_grid_nearer_delta(monkeypatch, n, i, j):
+    # the reference averages over the positive half of the nodes for an even i + j
+    def block_value(points):
+        m = np.arange(1, (points // 2 if (i + j) % 2 == 0 else points) + 1)
+        pstar, kn = _pstar_kn(n, np.cos((2 * m - 1) * np.pi / (2 * points)))
+        return float(np.mean(pstar[i] * pstar[j] / kn))
+
+    levels, result = _levels(monkeypatch, interval_form_numeric, n, i, j)
+    reference, points, _, _ = quadrature_verify._refine(
+        lambda *grids: [block_value(p) for p in grids], 1e-13, n + 1)
+    assert levels[-1][0] == points
+    assert abs(result - (i == j)) <= 2e-15 and abs(reference - (i == j)) <= 1.6e-14
+    return levels
 
 
 def _levels(monkeypatch, form, *args):
@@ -291,8 +327,9 @@ def _count_sizes(monkeypatch, module, name, position):
 
 
 def _count_ffts(monkeypatch):
-    # the length of every FFT the contour form takes: the input of each real
-    # FFT, the output of each inverse one
+    # the length of every FFT taken: the input of each real FFT, the output
+    # of each inverse one, whose input may stack several transforms of that
+    # length, as the interval form's does
     counted = []
     rfft, irfft = np.fft.rfft, np.fft.irfft
     monkeypatch.setattr(np.fft, "rfft", lambda a: counted.append(np.size(a)) or rfft(a))
@@ -353,36 +390,36 @@ class TestPredictedGrid:
     @pytest.mark.parametrize("n, i, j", [(20, 0, 0), (120, 60, 60), (200, 3, 151),
                                          (5, 2, 3), (60, 0, 17), (200, 3, 150)])
     def test_interval_evaluates_the_nodes_of_its_grids_once(self, n, i, j, monkeypatch):
-        # the midpoint nodes of the start grid, twice it, ... up to the final
-        # grid, and no more: the first two grids in one call, then one call
-        # per grid; the positive half of them for an even i + j, which starts
-        # at a quarter of the predicted periodic grid, and all of them for an
-        # odd i + j
-        counted = _count_sizes(monkeypatch, quadrature_verify, "_pstar_pair_kn", 3)
+        # the M midpoint nodes of the start grid, twice it, ... up to the
+        # final grid, and no more: one inverse real FFT of length 2M per grid
+        # and no other FFT; an even i + j starts at a quarter of the predicted
+        # periodic grid, and an odd i + j at BASE_POINTS
+        counted = _count_ffts(monkeypatch)
         levels, _ = _levels(monkeypatch, interval_form_numeric, n, i, j)
-        nodes = [p // 2 if (i + j) % 2 == 0 else p for p, _ in levels]
-        assert counted == [nodes[0] + nodes[1]] + nodes[2:]
+        assert counted == [2 * p for p, _ in levels]
         start = quadrature_verify._predicted_points(n, 1e-13, 2) // 4
         assert levels[0][0] == (max(start, BASE_POINTS) if (i + j) % 2 == 0 else BASE_POINTS)
 
     def test_no_call_passes_the_entry_budget(self, monkeypatch):
         # 11 rows per point leave 256 points as the Gram's last grid: the
         # prediction for tol 1e-300 is clamped there, so it starts at 128; the
-        # contour and interval forms hold two rows, which leave 1024, and no
-        # FFT of the contour form is longer
+        # contour and interval forms count two rows, which leave 1024, and no
+        # FFT of the contour form is longer, nor any of the interval form
+        # longer than the 2048 of 1024 nodes
         monkeypatch.setattr(quadrature_verify, "MAX_ENTRIES", 11 * 256)
         assert quadrature_verify._predicted_points(10, 1e-300, 11) == 256
         assert quadrature_verify._last_grid(2) == 1024
         gram = _count_sizes(monkeypatch, christoffel, "legendre_all", 1)
-        contour = _count_ffts(monkeypatch)
-        interval = _count_sizes(monkeypatch, quadrature_verify, "_pstar_pair_kn", 3)
+        ffts = _count_ffts(monkeypatch)
         report = orthogonality_numeric(10, tol=1e-300)
         contour_moment_numeric(10, 10)
+        contour = list(ffts)
+        ffts.clear()
         interval_form_numeric(10, 5, 5)
         assert report.points_used == 256 and not report.converged
         assert gram == [65]
         assert max(contour) <= 1024
-        assert max(interval) <= 1024 // 2
+        assert max(ffts) <= 2 * 1024
 
     @pytest.mark.parametrize("n, tol, points", [(5, 1e6, 128), (0, 1e-300, 128), (0, 1e6, 128),
                                                 (5, 1e-300, 2**20)])
@@ -449,10 +486,10 @@ class TestFold:
             assert moment.imag == 0.0 and abs(moment.real - value) <= 1e-14
         for i, j in ((0, 0), (n // 2, n // 2), (1, n), (n // 3, n - n // 3), (n - 1, n)):
             levels, result = _levels(monkeypatch, interval_form_numeric, n, i, j)
-            value, points, _, _ = quadrature_verify._refine(
+            _, points, _, _ = quadrature_verify._refine(
                 lambda *grids: [interval(i, j, p) for p in grids], 1e-13, 2, levels[0][0])
             assert levels[-1][0] == points
-            assert abs(result - value) <= 1e-15
+            assert abs(result - (i == j)) <= 2e-15
 
 
 def _one_grid_ladder(evaluate, tol, rows, start=BASE_POINTS):
@@ -519,10 +556,30 @@ def _one_grid_contour(n, k):
 
 
 def _one_grid_interval(n, i, j):
+    # P_i, P_j, P_n and dP_n/dt as sums of c e^{i r t}, all four at the M nodes
+    # of each grid by one inverse real FFT of length 2M, each grid on its own
+    def cosines(k):
+        alpha = np.array([math.comb(2 * h, h) / 4**h for h in range(k + 1)])
+        return alpha * alpha[::-1]
+
+    orders = np.concatenate([k - 2 * np.arange(k + 1) for k in (i, j, n, n)])
+    coeffs = np.concatenate([cosines(i), cosines(j), cosines(n),
+                             1j * (n - 2 * np.arange(n + 1)) * cosines(n)])
+    rows = np.repeat(np.arange(4), [i + 1, j + 1, n + 1, n + 1])
+
     def value(points):
-        m = np.arange(1, (points // 2 if (i + j) % 2 == 0 else points) + 1)
-        pi, pj, kn = _pstar_pair_kn(n, i, j, np.cos((2 * m - 1) * np.pi / (2 * points)))
-        return float(np.mean(pi * pj / kn))
+        size = 2 * points
+        twiddled = coeffs * np.exp(1j * np.pi * (orders % (2 * size)) / size)
+        bins = orders % size
+        upper = bins > points  # bin b > M adds its conjugate to bin 2M - b
+        spectrum = np.zeros((4, points + 1), dtype=complex)
+        np.add.at(spectrum, (rows, np.where(upper, size - bins, bins)),
+                  np.where(upper, twiddled.conj(), twiddled))
+        spectrum[:, 0] *= 2
+        spectrum[:, points] *= 2
+        pi, pj, pn, dpn = np.fft.irfft(spectrum, size)[:, :points] * points
+        weight = 2 * (n + 1) / ((n + 1) ** 2 * (pn * pn) + dpn * dpn)
+        return float(np.mean(pi * pj * weight)) * (math.sqrt((2 * i + 1) * (2 * j + 1)) / 2)
 
     start = quadrature_verify._predicted_points(n, 1e-13, 2) // 4 if (i + j) % 2 == 0 else BASE_POINTS
     return _one_grid_ladder(value, 1e-13, 2, start)

@@ -10,6 +10,7 @@ from ortholeg.sampling_ls import (
     GENERATOR_NAME,
     MAX_GRAM_CONDITION,
     STABILITY_BOUND,
+    FitReport,
     SampleBatch,
     arcsine_from_uniform,
     design_matrix,
@@ -263,6 +264,18 @@ class TestPredict:
         report = fit_least_squares(n, batch, values)
         rebuilt = predict(report, batch.points)
         assert np.max(np.abs(rebuilt - values)) < 1e-9
+
+    def test_predictions_are_the_sum_form_route_to_the_bit(self):
+        # predict reads the scaled P* block alone; the block that _pstar_kn
+        # returns beside K_n in sum form gives the same bits
+        rng = np.random.default_rng(160)
+        xs = np.linspace(-1.0, 1.0, 401)
+        for n in range(161):
+            report = FitReport(n=n, coefficients=rng.standard_normal(n + 1), residual_rms=0.0,
+                               gram_deviation=0.0, condition_estimate=1.0, sample_count=n + 1,
+                               seed=0)
+            route = np.tensordot(report.coefficients, _pstar_kn(n, xs)[0], axes=(0, 0))
+            assert np.array_equal(predict(report, xs), route)
 
     def test_domain_error(self):
         batch = sample_arcsine(50, SEED)
